@@ -2,36 +2,29 @@
 
 The main library handles binary datasets, following the paper's main
 sections.  Section 4.7 sketches the extension to attributes with
-``b >= 2`` values each; this subpackage implements it:
+``b >= 2`` values each.  A binary attribute is an arity-2 attribute,
+so the core already implements it: :class:`~repro.marginals.table.\
+MarginalTable` lays its cells out by its attributes' arities, Ripple
+changes one value instead of flipping one bit, and the max-entropy
+reconstruction runs the same IPF over mixed-radix projections.  This
+subpackage adds what is specific to multi-valued data:
 
-* mixed-radix cell indexing replaces the binary bit convention
-  (:mod:`repro.categorical.indexing`);
-* :class:`~repro.categorical.table.CategoricalMarginalTable` supports
-  the same projection / consistency-update operations, so the *binary*
-  consistency procedure of Section 4.4 applies verbatim;
-* Ripple's neighbourhood becomes "change one attribute to another
-  value" (:func:`repro.core.nonnegativity.categorical_ripple`);
-* view selection bounds the *cell count* per view using the
+* :class:`~repro.categorical.dataset.CategoricalDataset`, the ``N x d``
+  integer-coded records;
+* view selection that bounds the *cell count* per view using the
   Section 4.7 ``s`` guideline instead of the attribute count
-  (:mod:`repro.categorical.views`);
-* maximum-entropy reconstruction runs the same IPF, over mixed-radix
-  projections (:mod:`repro.core.reconstruction.categorical`).
-
-The Ripple and reconstruction implementations live in the shared
-``repro.core`` registry; the old private copies here
-(``repro.categorical.nonnegativity`` / ``.reconstruction``) remain as
-deprecated import shims.
+  (:mod:`repro.categorical.views`), and the
+  :class:`~repro.categorical.priview.CategoricalPriView` mechanism
+  that uses it;
+* the Direct and Uniform baselines for the extension experiment.
 """
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.table import CategoricalMarginalTable
-from repro.categorical.priview import CategoricalPriView, CategoricalSynopsis
+from repro.categorical.priview import CategoricalPriView
 from repro.categorical.views import select_categorical_views
 
 __all__ = [
     "CategoricalDataset",
-    "CategoricalMarginalTable",
     "CategoricalPriView",
-    "CategoricalSynopsis",
     "select_categorical_views",
 ]

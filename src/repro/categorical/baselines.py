@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.table import CategoricalMarginalTable
+from repro.marginals.attrs import AttrSet
+from repro.marginals.table import MarginalTable
 from repro.exceptions import PrivacyBudgetError
 from repro.mechanisms.laplace import noisy_counts
 
@@ -33,7 +34,7 @@ class CategoricalDirect:
         self._num_marginals = math.comb(dataset.num_attributes, self.k)
         return self
 
-    def marginal(self, attrs) -> CategoricalMarginalTable:
+    def marginal(self, attrs) -> MarginalTable:
         attrs = tuple(sorted(int(a) for a in attrs))
         if len(attrs) != self.k:
             raise ValueError(
@@ -68,7 +69,7 @@ class CategoricalUniform:
         self._total = max(float(noisy[0]), 0.0)
         return self
 
-    def marginal(self, attrs) -> CategoricalMarginalTable:
-        attrs = tuple(sorted(int(a) for a in attrs))
-        arities = tuple(self._arities[a] for a in attrs)
-        return CategoricalMarginalTable.uniform(attrs, arities, self._total)
+    def marginal(self, attrs) -> MarginalTable:
+        attrs = AttrSet(attrs)
+        attrs = attrs.with_arities(self._arities[a] for a in attrs)
+        return MarginalTable.uniform(attrs, self._total)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.categorical.indexing import strides, table_size
-from repro.categorical.table import CategoricalMarginalTable
 from repro.exceptions import DimensionError
+from repro.marginals.attrs import AttrSet
+from repro.marginals.domain import Domain
+from repro.marginals.projection import strides
+from repro.marginals.table import MarginalTable
 
 
 class CategoricalDataset:
@@ -45,6 +47,7 @@ class CategoricalDataset:
         self._data = arr
         self.name = name
         self.domain = domain
+        self._packed = None
 
     @classmethod
     def from_columns(
@@ -105,17 +108,27 @@ class CategoricalDataset:
         )
 
     # ------------------------------------------------------------------
-    def marginal(self, attrs) -> CategoricalMarginalTable:
+    def marginal(self, attrs) -> MarginalTable:
         """Exact (non-private) marginal over ``attrs``."""
-        attrs = tuple(sorted(int(a) for a in attrs))
-        if attrs and attrs[-1] >= self.num_attributes:
-            raise DimensionError(
-                f"attribute {attrs[-1]} out of range (d={self.num_attributes})"
-            )
-        sub_arities = tuple(self.arities[a] for a in attrs)
-        weights = np.array(strides(sub_arities), dtype=np.int64)
+        attrs = AttrSet(attrs, self.num_attributes)
+        attrs = attrs.with_arities(self.arities[a] for a in attrs)
+        weights = np.array(strides(attrs.arities), dtype=np.int64)
         idx = self._data[:, list(attrs)] @ weights
-        counts = np.bincount(idx, minlength=table_size(sub_arities))
-        return CategoricalMarginalTable(
-            attrs, sub_arities, counts.astype(np.float64)
-        )
+        counts = np.bincount(idx, minlength=attrs.size)
+        return MarginalTable(attrs, counts.astype(np.float64))
+
+    def packed(self, chunk_words: int | None = None):
+        """This dataset bit-plane packed as a
+        :class:`repro.kernels.PackedDataset` (built once, cached); its
+        ``marginal`` is bitwise identical to :meth:`marginal`."""
+        from repro.kernels.packed import DEFAULT_CHUNK_WORDS, PackedDataset
+
+        chunk_words = chunk_words or DEFAULT_CHUNK_WORDS
+        if self._packed is None or self._packed.chunk_words != chunk_words:
+            self._packed = PackedDataset.from_array(
+                self._data,
+                name=self.name,
+                chunk_words=chunk_words,
+                domain=self.domain or Domain.from_arities(self.arities),
+            )
+        return self._packed

@@ -47,7 +47,6 @@ from repro.exceptions import PrivacyBudgetError
 from repro.kernels import config as kernels_config
 from repro.kernels.fit import generate_noisy_views as _parallel_noisy_views
 from repro.kernels.packed import as_packed
-from repro.marginals.dataset import BinaryDataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import noisy_marginal
 
@@ -99,6 +98,8 @@ class PriView:
     """
 
     name = "priview"
+    #: strict budget scope every fit's noise draws are recorded under
+    ledger_scope = "PriView.fit"
 
     def __init__(
         self,
@@ -133,7 +134,7 @@ class PriView:
         self._seed_seq = np.random.SeedSequence(seed)
 
     # ------------------------------------------------------------------
-    def choose_design(self, dataset: BinaryDataset) -> CoveringDesign:
+    def choose_design(self, dataset) -> CoveringDesign:
         """The covering design ``fit`` will use for ``dataset``."""
         if self.design is not None:
             return self.design
@@ -150,17 +151,40 @@ class PriView:
             strength=self.strength,
         )
 
-    def generate_noisy_views(
-        self, dataset: BinaryDataset, design: CoveringDesign
-    ) -> list[MarginalTable]:
+    def choose_views(
+        self, dataset
+    ) -> tuple[CoveringDesign | None, list[tuple[int, ...]]]:
+        """View selection: the design (if any) and the view attribute sets.
+
+        The binary mechanism releases the blocks of a covering design;
+        subclasses choosing views another way return ``None`` as the
+        design (see :class:`~repro.categorical.priview.CategoricalPriView`).
+        """
+        with obs.span("choose_design"):
+            design = self.choose_design(dataset)
+        obs.set_gauge("priview.design_blocks", design.num_blocks)
+        obs.set_gauge("priview.design_width", design.block_size)
+        return design, list(design.blocks)
+
+    def selection_epsilon(self) -> float:
+        """Budget :meth:`choose_views` spends (the noisy record count of
+        an automatic design choice), on top of ``epsilon``."""
+        if self.design is None and not np.isinf(self.epsilon):
+            return RECORD_COUNT_EPSILON
+        return 0.0
+
+    def generate_noisy_views(self, dataset, design) -> list[MarginalTable]:
         """Step 2: the only step that touches the private data.
 
-        With ``packed`` the exact marginals come off the bit-sliced
-        popcount kernels (bitwise-identical counts); with ``workers``
-        set, views are fanned out with per-view child noise streams
-        (see the class docstring for the determinism contract).
+        ``design`` is a :class:`CoveringDesign` or a list of view
+        attribute sets.  With ``packed`` the exact marginals come off
+        the bit-sliced popcount kernels (bitwise-identical counts);
+        with ``workers`` set, views are fanned out with per-view child
+        noise streams (see the class docstring for the determinism
+        contract).
         """
-        w = design.num_blocks
+        blocks = design.blocks if isinstance(design, CoveringDesign) else design
+        w = len(blocks)
         source = as_packed(dataset) if self.packed else dataset
         if self.workers is None:
             obs.set_gauge("fit.workers", 1)
@@ -168,11 +192,11 @@ class PriView:
                 noisy_marginal(
                     source.marginal(block), self.epsilon, sensitivity=w, rng=self._rng
                 )
-                for block in design.blocks
+                for block in blocks
             ]
         return _parallel_noisy_views(
             source,
-            design.blocks,
+            blocks,
             self.epsilon,
             sensitivity=w,
             root_seed=self._seed_seq,
@@ -200,44 +224,50 @@ class PriView:
                     make_consistent(views)
         return views
 
-    def fit(self, dataset: BinaryDataset) -> PriViewSynopsis:
+    def fit(self, dataset) -> PriViewSynopsis:
         """Run the full pipeline and return the private synopsis.
 
         Under an observability session the fit is traced stage by stage
-        and every noise draw lands in a strict ``PriView.fit`` budget
-        scope.  The scope's configured total is ``epsilon`` plus — when
-        the design is chosen automatically under finite budget — the
-        paper's ``RECORD_COUNT_EPSILON`` sliver for the noisy record
-        count, so the ledger audit balances exactly.
+        and every noise draw lands in the strict :attr:`ledger_scope`
+        budget scope.  The scope's configured total is ``epsilon`` plus
+        whatever view selection spends (:meth:`selection_epsilon` —
+        the paper's ``RECORD_COUNT_EPSILON`` sliver when the design is
+        chosen automatically under finite budget), so the ledger audit
+        balances exactly.
         """
-        configured = self.epsilon
-        if self.design is None and not np.isinf(self.epsilon):
-            configured = self.epsilon + RECORD_COUNT_EPSILON
+        configured = self.epsilon + self.selection_epsilon()
         fit_start = perf_counter()
-        with obs.span("priview.fit"), obs.budget_scope("PriView.fit", configured):
-            with obs.span("choose_design"):
-                design = self.choose_design(dataset)
-            obs.set_gauge("priview.design_blocks", design.num_blocks)
-            obs.set_gauge("priview.design_width", design.block_size)
+        with obs.span(f"{self.name}.fit"), obs.budget_scope(
+            self.ledger_scope, configured
+        ):
+            design, blocks = self.choose_views(dataset)
             obs.set_gauge("fit.packed", int(self.packed))
             with obs.span("noisy_views"):
-                views = self.generate_noisy_views(dataset, design)
+                views = self.generate_noisy_views(dataset, blocks)
             with obs.span("post_process"):
                 views = self.post_process(views)
             obs.observe(
                 "fit.seconds",
                 perf_counter() - fit_start,
-                {"mechanism": "priview"},
+                {"mechanism": self.name},
             )
+        if design is None:
+            # no design carries the views, so the metadata records them
+            metadata = {"view_attrs": [tuple(b) for b in blocks], "theta": self.theta}
+            arities = tuple(dataset.arities)
+        else:
+            metadata = {
+                "nonnegativity": self.nonnegativity,
+                "nonneg_rounds": self.nonneg_rounds,
+                "theta": self.theta,
+            }
+            arities = None
         return PriViewSynopsis(
             design=design,
             views=views,
             epsilon=self.epsilon,
             num_attributes=dataset.num_attributes,
             domain=getattr(dataset, "domain", None),
-            metadata={
-                "nonnegativity": self.nonnegativity,
-                "nonneg_rounds": self.nonneg_rounds,
-                "theta": self.theta,
-            },
+            metadata=metadata,
+            arities=arities,
         )

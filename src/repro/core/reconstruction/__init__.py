@@ -20,6 +20,12 @@ Degenerate bases are handled here, before any solver runs: the empty
 attribute set is always the single-cell total (its residual basis is
 just ``theta_0``), and the full-domain set flows through the solvers
 unchanged (every view is its own constraint).
+
+Binary and categorical attributes share every path: the views carry
+their attributes' arities, and the target's cell layout is read from
+them (:func:`~repro.core.reconstruction.constraints.solver_target`),
+never from the request.  ``residual`` is binary-only and raises
+:class:`~repro.exceptions.ReconstructionError` on other arities.
 """
 
 from __future__ import annotations
@@ -27,17 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.core.reconstruction.categorical import (
-    MIXED_RECONSTRUCTION_METHODS,
-    categorical_maxent,
-    extract_categorical_constraints,
-    reconstruct_mixed,
-)
 from repro.core.reconstruction.constraints import (
     MarginalConstraint,
     build_constraint_system,
     covering_view,
     extract_constraints,
+    solver_target,
 )
 from repro.core.reconstruction.least_squares import least_squares
 from repro.core.reconstruction.linear_program import linear_program
@@ -135,7 +136,9 @@ def reconstruct(
         )
         if total is None:
             total = _mean_total(views)
-        return _SOLVERS[method](constraints, target, float(total))
+        return _SOLVERS[method](
+            constraints, solver_target(target, constraints), float(total)
+        )
 
 
 def reconstruct_batch(
@@ -183,15 +186,17 @@ def reconstruct_batch(
                 )
                 for i in solve_indices
             ]
+            solve_targets = [
+                solver_target(targets[i], constraints)
+                for constraints, i in zip(constraint_lists, solve_indices)
+            ]
             solver = _BATCH_SOLVERS.get(method)
             if solver is not None:
-                tables = solver(
-                    constraint_lists, [targets[i] for i in solve_indices], total
-                )
+                tables = solver(constraint_lists, solve_targets, total)
             else:
                 tables = [
-                    _SOLVERS[method](constraints, targets[i], total)
-                    for constraints, i in zip(constraint_lists, solve_indices)
+                    _SOLVERS[method](constraints, target, total)
+                    for constraints, target in zip(constraint_lists, solve_targets)
                 ]
             for i, table in zip(solve_indices, tables):
                 out[i] = table
@@ -199,17 +204,13 @@ def reconstruct_batch(
 
 
 __all__ = [
-    "MIXED_RECONSTRUCTION_METHODS",
     "MarginalConstraint",
     "RECONSTRUCTION_METHODS",
     "ResidualIndex",
     "build_constraint_system",
-    "categorical_maxent",
     "covering_view",
-    "extract_categorical_constraints",
     "extract_constraints",
     "fwht",
-    "reconstruct_mixed",
     "least_squares",
     "linear_program",
     "maxent",

@@ -1,10 +1,11 @@
 """Constraint extraction for k-way reconstruction (paper Section 4.3).
 
 For a target attribute set ``A`` and a view ``V``, the view's marginal
-projected onto ``B = V ∩ A`` imposes ``2**|B|`` linear constraints on
-the cells of ``T_A``.  Constraints from a ``B`` nested inside another
-view's ``B'`` are implied once the views are consistent, so only
-maximal intersections are kept.
+projected onto ``B = V ∩ A`` imposes one linear constraint per cell of
+``T_B`` (``2**|B|`` for binary attributes) on the cells of ``T_A``.
+Constraints from a ``B`` nested inside another view's ``B'`` are
+implied once the views are consistent, so only maximal intersections
+are kept.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ReconstructionError
-from repro.marginals.projection import (
-    constraint_matrix,
-    projection_index,
-    subset_positions,
-)
+from repro.marginals.projection import constraint_matrix, subset_positions
 from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
 
@@ -28,7 +25,7 @@ class MarginalConstraint:
     """``T_A[attrs] == target`` — one view's contribution."""
 
     attrs: tuple[int, ...]  # subset of the reconstruction target A
-    target: np.ndarray  # length 2**len(attrs)
+    target: np.ndarray  # one entry per cell of T_attrs
 
     @property
     def arity(self) -> int:
@@ -76,19 +73,37 @@ def extract_constraints(
     # projecting them first was the solved path's main fixed cost.
     constraints = []
     for attrs in sorted(kept, key=lambda a: (-len(a), a)):
-        size = 1 << len(attrs)
-        projected = [
-            np.bincount(
-                projection_index(view.attrs, attrs)[1],
-                weights=view.counts, minlength=size,
-            )
-            for view in by_attrs[attrs]
-        ]
-        merged = projected[0] if len(projected) == 1 else np.mean(
-            projected, axis=0
+        projected = [view.project(attrs) for view in by_attrs[attrs]]
+        merged = projected[0].counts if len(projected) == 1 else np.mean(
+            [p.counts for p in projected], axis=0
         )
-        constraints.append(MarginalConstraint(attrs, merged))
+        constraints.append(MarginalConstraint(projected[0].attrs, merged))
     return constraints
+
+
+def solver_target(target_attrs, constraints: list[MarginalConstraint]) -> AttrSet:
+    """The target attribute set with the arities its constraints record.
+
+    The views are the only record of an attribute's arity, so the
+    solvers' cell layout for the target comes from the constraints the
+    views induced.  Binary constraints carry no arities and leave the
+    target binary; otherwise every target attribute must appear in
+    some constraint.
+    """
+    target = AttrSet(target_attrs)
+    arity_of: dict[int, int] = {}
+    for c in constraints:
+        attrs = AttrSet(c.attrs)
+        if attrs.arities is not None:
+            arity_of.update(zip(attrs, attrs.arities))
+    if not arity_of:
+        return target
+    missing = [a for a in target if a not in arity_of]
+    if missing:
+        raise ReconstructionError(
+            f"attributes {missing} appear in no view; their arities are unknown"
+        )
+    return target.with_arities(arity_of[a] for a in target)
 
 
 def covering_view(views: list[MarginalTable], target_attrs) -> MarginalTable | None:
@@ -106,16 +121,16 @@ def build_constraint_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack constraints into a dense system ``M x = b``.
 
-    ``x`` is the flattened 2**k cell vector of the target marginal.
+    ``x`` is the flattened cell vector of the target marginal.
     Used by the LP and least-squares solvers; the max-entropy solver
     works directly on the structured constraints instead.
     """
     target = AttrSet(target_attrs)
-    k = len(target)
+    layout = target.arities or len(target)
     rows = []
     rhs = []
     for c in constraints:
         positions = subset_positions(target, c.attrs)
-        rows.append(constraint_matrix(k, positions))
+        rows.append(constraint_matrix(layout, positions))
         rhs.append(c.target)
     return np.vstack(rows), np.concatenate(rhs)

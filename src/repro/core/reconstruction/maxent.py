@@ -4,8 +4,9 @@ Subject to a consistent family of marginal constraints, the
 maximum-entropy table is the fixpoint of Iterative Proportional
 Fitting (Darroch & Ratcliff 1972): start uniform, repeatedly rescale
 the cells so each constrained sub-marginal matches its target.  IPF is
-fast (a handful of O(2**k) sweeps), always non-negative, and exactly
-solves the optimisation the paper states.
+fast (a handful of O(cells) sweeps), always non-negative, and exactly
+solves the optimisation the paper states — for binary and categorical
+attributes alike (Section 4.7): only the projection maps change.
 
 A scipy dual-ascent solver (:func:`maxent_dual`) is provided as an
 independent cross-check; both are exercised against each other in the
@@ -81,7 +82,8 @@ def maxent(
         whether the damped fallback ran) in ``table.meta["maxent"]``.
     """
     target = AttrSet(target_attrs)
-    k = len(target)
+    layout = target.arities or len(target)
+    size = target.size
     total = max(float(total), _TINY)
     if not constraints:
         table = MarginalTable.uniform(target, total)
@@ -96,10 +98,10 @@ def maxent(
     prepared = []
     for attrs_arr, tgt in _prepare_targets(constraints, total):
         positions = subset_positions(target, tuple(int(a) for a in attrs_arr))
-        pmap = projection_map(k, positions)
+        pmap = projection_map(layout, positions)
         prepared.append((pmap, tgt))
 
-    cells = np.full(1 << k, total / (1 << k))
+    cells = np.full(size, total / size)
     mismatch, cycles = _ipf_sweeps(
         cells, prepared, total, max_cycles, tol, damping=1.0
     )
@@ -164,7 +166,8 @@ def maxent_batch(
 ) -> list[MarginalTable]:
     """Stacked IPF: fit many targets with vectorised sweeps.
 
-    The aggregate-then-adjust idiom: targets are grouped by arity, and
+    The aggregate-then-adjust idiom: targets are grouped by cell
+    layout (their arities; the attribute count ``k`` when binary), and
     within a group constraints sharing the same *position signature*
     (which bit positions of the target they pin) share one projection
     map — each sweep then applies every such signature to all of its
@@ -184,7 +187,7 @@ def maxent_batch(
     total = max(float(total), _TINY)
     out: list[MarginalTable | None] = [None] * len(targets)
 
-    by_arity: dict[int, list[int]] = {}
+    by_layout: dict[int | tuple[int, ...], list[int]] = {}
     for i, target in enumerate(targets):
         if not constraint_lists[i]:
             table = MarginalTable.uniform(target, total)
@@ -194,10 +197,11 @@ def maxent_batch(
             }
             out[i] = table
             continue
-        by_arity.setdefault(len(target), []).append(i)
+        by_layout.setdefault(target.arities or len(target), []).append(i)
 
-    for k, indices in by_arity.items():
-        cells = np.full((len(indices), 1 << k), total / (1 << k))
+    for layout, indices in by_layout.items():
+        size = targets[indices[0]].size
+        cells = np.full((len(indices), size), total / size)
         # positions signature -> (row indices, stacked prepared targets)
         by_positions: dict[tuple[int, ...], tuple[list[int], list[np.ndarray]]] = {}
         for row, i in enumerate(indices):
@@ -212,7 +216,8 @@ def maxent_batch(
         # ordering for the per-query solver.
         groups = [
             (np.asarray(rows), np.vstack(tgts),
-             projection_map(k, positions), constraint_matrix(k, positions))
+             projection_map(layout, positions),
+             constraint_matrix(layout, positions))
             for positions, (rows, tgts) in sorted(
                 by_positions.items(), key=lambda kv: (-len(kv[0]), kv[0])
             )
@@ -262,7 +267,7 @@ def _ipf_sweeps_grouped(
     tol: float,
     damping: float,
 ) -> tuple[np.ndarray, int]:
-    """Vectorised IPF sweeps over an ``(n, 2**k)`` row stack, in place.
+    """Vectorised IPF sweeps over an ``(n, cells)`` row stack, in place.
 
     ``groups`` holds ``(rows, targets, pmap, matrix)`` per position
     signature; returns ``(relative mismatch per row, sweeps run)``.

@@ -236,6 +236,7 @@ def residual_batch(
         if not target:
             out[i] = _empty_table(total)
             continue
+        _require_binary(target)
         by_arity.setdefault(len(target), []).append(i)
 
     for k, indices in by_arity.items():
@@ -252,6 +253,15 @@ def residual_batch(
         for i, table in zip(indices, tables):
             out[i] = table
     return out  # type: ignore[return-value]
+
+
+def _require_binary(attrs: AttrSet) -> None:
+    """The Walsh–Hadamard basis is the binary residual basis; other
+    arities need a different one, so refuse rather than mis-solve."""
+    if not attrs.is_binary:
+        raise ReconstructionError(
+            f"residual reconstruction needs binary attributes, got {attrs!r}"
+        )
 
 
 def _empty_table(total: float) -> MarginalTable:
@@ -351,8 +361,8 @@ class ResidualIndex:
     views.
 
     Raises :class:`ReconstructionError` at construction when a view
-    holds non-finite mass, so callers can fall back *before* caching
-    anything poisoned.
+    holds non-finite mass or a non-binary attribute, so callers can
+    fall back *before* caching anything poisoned.
     """
 
     def __init__(self, views: list[MarginalTable], total: float | None = None):
@@ -365,6 +375,7 @@ class ResidualIndex:
         coeff_sum: dict[tuple[int, ...], float] = {}
         coeff_cnt: dict[tuple[int, ...], int] = {}
         for view in views:
+            _require_binary(view.attrs)
             counts = np.asarray(view.counts, dtype=np.float64)
             s = counts.sum()
             if s > _TINY and abs(s - self.total) > 1e-9 * max(1.0, self.total):

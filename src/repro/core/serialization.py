@@ -43,6 +43,7 @@ from repro.exceptions import (
     SynopsisFormatError,
     SynopsisIntegrityError,
 )
+from repro.marginals.attrs import AttrSet
 from repro.marginals.domain import Domain
 from repro.marginals.table import MarginalTable
 
@@ -85,9 +86,10 @@ def payload_digest(views, domain=None, kind: str = "priview") -> str:
     views always hash the same regardless of compression.  The domain
     schema (when present) and the synopsis kind are covered too, so a
     flipped bit in the serialized schema fails verification rather
-    than silently degrading to a schema-less load.  With the default
-    arguments the digest of binary views is byte-identical to the
-    v1/v2 formula, which is how pre-v3 files stay verifiable.
+    than silently degrading to a schema-less load, and so are the view
+    arities of a ``categorical`` synopsis.  With the default arguments
+    the digest is byte-identical to the v1/v2 formula, which is how
+    pre-v3 files stay verifiable.
     """
     digest = hashlib.sha256()
     if kind != "priview":
@@ -97,9 +99,8 @@ def payload_digest(views, domain=None, kind: str = "priview") -> str:
         digest.update(f"domain:{schema}\n".encode())
     for view in views:
         digest.update(repr(tuple(int(a) for a in view.attrs)).encode())
-        arities = getattr(view, "arities", None)
-        if arities is not None:
-            digest.update(repr(tuple(int(b) for b in arities)).encode())
+        if kind != "priview":
+            digest.update(repr(tuple(int(b) for b in view.arities)).encode())
         digest.update(
             np.ascontiguousarray(view.counts, dtype=np.float64).tobytes()
         )
@@ -107,17 +108,18 @@ def payload_digest(views, domain=None, kind: str = "priview") -> str:
 
 
 def save_synopsis(synopsis, path: str | os.PathLike) -> pathlib.Path:
-    """Write a synopsis to ``path`` (compressed .npz).
+    """Write a :class:`PriViewSynopsis` to ``path`` (compressed .npz).
 
-    Accepts a binary :class:`PriViewSynopsis` or a
-    :class:`~repro.categorical.priview.CategoricalSynopsis`; the
-    header's ``kind`` field records which, and the optional ``domain``
-    schema (covered by the payload digest) rides along for both.
+    The header's ``kind`` is ``priview`` for a synopsis over a covering
+    design and ``categorical`` for one whose views were chosen by cell
+    budget (no design; per-view arities and the dataset's arities are
+    recorded instead).  The optional ``domain`` schema (covered by the
+    payload digest) rides along for both.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    domain = getattr(synopsis, "domain", None)
-    kind = "priview" if hasattr(synopsis, "design") else "categorical"
+    domain = synopsis.domain
+    kind = "priview" if synopsis.design is not None else "categorical"
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -132,7 +134,8 @@ def save_synopsis(synopsis, path: str | os.PathLike) -> pathlib.Path:
     if kind == "priview":
         header["design"] = synopsis.design.to_text()
     else:
-        header["arities"] = [int(b) for b in synopsis.arities]
+        arities = synopsis.arities or (2,) * synopsis.num_attributes
+        header["arities"] = [int(b) for b in arities]
         header["view_arities"] = [
             [int(b) for b in v.arities] for v in synopsis.views
         ]
@@ -182,11 +185,10 @@ def _parse_domain(header: dict, path: pathlib.Path) -> Domain | None:
 
 
 def load_synopsis(path: str | os.PathLike, verify: bool = True):
-    """Load a synopsis written by :func:`save_synopsis`.
+    """Load a :class:`PriViewSynopsis` written by :func:`save_synopsis`.
 
-    Returns a :class:`PriViewSynopsis` or — for files whose header
-    says ``kind: categorical`` — a
-    :class:`~repro.categorical.priview.CategoricalSynopsis`.  Raises
+    Files whose header says ``kind: categorical`` load without a
+    design, their views carrying the recorded arities.  Raises
     :class:`~repro.exceptions.SynopsisFormatError` for files from a
     newer library, and
     :class:`~repro.exceptions.SynopsisIntegrityError` when the file
@@ -211,50 +213,32 @@ def load_synopsis(path: str | os.PathLike, verify: bool = True):
                 archive[f"view_{i}"]
                 for i in range(len(header["view_attrs"]))
             ]
-        if kind == "categorical":
-            # Imported lazily: repro.categorical itself imports the
-            # core at module level, so the reverse edge must not exist
-            # at import time.
-            from repro.categorical.priview import CategoricalSynopsis
-            from repro.categorical.table import CategoricalMarginalTable
-
-            views = [
-                CategoricalMarginalTable(
-                    tuple(attrs), tuple(arities), cells, dict(meta)
-                )
-                for attrs, arities, cells, meta in zip(
-                    header["view_attrs"],
-                    header["view_arities"],
-                    counts,
-                    metas,
-                )
-            ]
-            synopsis = CategoricalSynopsis(
-                views=views,
-                arities=tuple(header["arities"]),
-                epsilon=float(header["epsilon"]),
-                metadata=header.get("metadata", {}),
-                domain=domain,
-            )
-        elif kind == "priview":
-            views = [
-                MarginalTable(tuple(attrs), cells, dict(meta))
-                for attrs, cells, meta in zip(
-                    header["view_attrs"], counts, metas
-                )
-            ]
-            synopsis = PriViewSynopsis(
-                design=CoveringDesign.from_text(header["design"]),
-                views=views,
-                epsilon=float(header["epsilon"]),
-                num_attributes=int(header["num_attributes"]),
-                metadata=header.get("metadata", {}),
-                domain=domain,
-            )
-        else:
+        if kind not in ("priview", "categorical"):
             raise SynopsisIntegrityError(
                 f"corrupt synopsis {path}: unknown synopsis kind {kind!r}"
             )
+        categorical = kind == "categorical"
+        view_arities = (
+            header["view_arities"] if categorical else [None] * len(counts)
+        )
+        views = [
+            MarginalTable(AttrSet(attrs, arities=arities), cells, dict(meta))
+            for attrs, arities, cells, meta in zip(
+                header["view_attrs"], view_arities, counts, metas
+            )
+        ]
+        synopsis = PriViewSynopsis(
+            design=(
+                None if categorical
+                else CoveringDesign.from_text(header["design"])
+            ),
+            views=views,
+            epsilon=float(header["epsilon"]),
+            num_attributes=int(header["num_attributes"]),
+            metadata=header.get("metadata", {}),
+            domain=domain,
+            arities=tuple(header["arities"]) if categorical else None,
+        )
     except ReproError:
         raise
     except (

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.core.reconstruction import reconstruct, reconstruct_batch
 from repro.covering.design import CoveringDesign
+from repro.exceptions import DimensionError
 from repro.marginals.attrs import AttrSet
 from repro.marginals.domain import Domain
 from repro.marginals.table import MarginalTable
@@ -25,30 +26,47 @@ class PriViewSynopsis:
     Attributes
     ----------
     design:
-        The covering design whose blocks are the view attribute sets.
+        The covering design whose blocks are the view attribute sets,
+        or ``None`` when the views were chosen another way (the
+        cell-budget greedy of
+        :class:`~repro.categorical.priview.CategoricalPriView`).
     views:
-        One :class:`MarginalTable` per design block, mutually
-        consistent.
+        One :class:`MarginalTable` per view, mutually consistent.
+        Categorical views carry their attributes' arities.
     epsilon:
         The privacy budget the synopsis satisfies.
     num_attributes:
         Dimensionality ``d`` of the underlying dataset.
     domain:
         Optional attribute schema (names, kinds, bin edges) for the
-        same ``d`` binary attributes; carried through serialization
-        and the store so record-level consumers can decode samples.
+        same ``d`` attributes; carried through serialization and the
+        store so record-level consumers can decode samples.
+    arities:
+        Per-attribute arities of a categorical dataset, or ``None``
+        when every attribute is binary.  Matches ``domain`` when both
+        are present.
     """
 
-    design: CoveringDesign
+    design: CoveringDesign | None
     views: list[MarginalTable]
     epsilon: float
     num_attributes: int
     metadata: dict = field(default_factory=dict)
     domain: Domain | None = None
+    arities: tuple[int, ...] | None = None
     #: optional repro.serve.QueryEngine; set via attach_engine
     _engine: object | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.arities is not None:
+            self.arities = tuple(int(b) for b in self.arities)
+            if self.domain is not None and self.domain.arities != self.arities:
+                raise DimensionError(
+                    f"domain arities {self.domain.arities} do not match "
+                    f"synopsis arities {self.arities}"
+                )
 
     @property
     def num_views(self) -> int:
@@ -130,7 +148,8 @@ class PriViewSynopsis:
         return out
 
     def __repr__(self) -> str:
+        design = None if self.design is None else self.design.notation
         return (
-            f"PriViewSynopsis(design={self.design.notation}, d={self.num_attributes},"
+            f"PriViewSynopsis(design={design}, d={self.num_attributes},"
             f" epsilon={self.epsilon}, views={self.num_views})"
         )

@@ -45,10 +45,8 @@ def _install_source(source) -> None:
 def _noisy_view(source, item) -> MarginalTable:
     """One view: exact marginal + per-view Laplace stream.
 
-    Rebuilds through the table's own ``with_counts``, so binary
-    (:class:`MarginalTable`) and categorical
-    (:class:`~repro.categorical.table.CategoricalMarginalTable`)
-    sources flow through the same fan-out unchanged.
+    Rebuilds through the table's own ``with_counts``, so the table
+    keeps its attributes' arities (binary or categorical).
     """
     block, scale, seed_seq = item
     table = source.marginal(block)

@@ -30,10 +30,15 @@ The ℓ-way marginal over ``attrs`` has two kernels:
 Both kernels stream over chunks of words (:data:`DEFAULT_CHUNK_WORDS`)
 so their working sets stay cache-resident at any ``N``.
 
+Attributes with more than two values are stored as several bit-planes
+of their codes and folded into mixed-radix cells on top of the
+transpose histogram (see :class:`PackedDataset`).
+
 The result is **bitwise identical** to
-:meth:`repro.marginals.dataset.BinaryDataset.marginal` (both count
-exactly, in int-exact arithmetic) — property-tested in
-``tests/kernels/test_packed.py``.
+:meth:`repro.marginals.dataset.BinaryDataset.marginal` and
+:meth:`repro.categorical.dataset.CategoricalDataset.marginal` (all
+count exactly, in int-exact arithmetic) — property-tested in
+``tests/kernels/test_packed.py`` and ``tests/kernels/test_packed_cat.py``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ import numpy as np
 from repro import obs
 from repro.exceptions import DimensionError
 from repro.marginals.attrs import AttrSet
+from repro.marginals.domain import as_domain
+from repro.marginals.projection import strides, table_size
 from repro.marginals.table import MarginalTable
 
 #: Words per streaming chunk.  1024 words keeps both kernels' working
@@ -184,8 +191,7 @@ def bit_histogram(
     ``rows`` is an ``(m, ceil(N/64))`` uint64 array (``m <= 8``) whose
     padding bits past ``N`` are zero; code bit ``j`` of record ``r`` is
     bit ``r`` of row ``j``.  This is the transpose-histogram kernel
-    shared by the binary marginal path and the packed categorical
-    bit-plane path (:mod:`repro.kernels.packed_cat`): interleave the
+    behind every packed marginal of at most 8 bit-planes: interleave the
     packed bytes into 8x8 bit matrices, transpose each with
     :data:`_TRANSPOSE_STEPS`, and bincount the resulting per-record
     code bytes.  Padding records land on code 0 and are subtracted.
@@ -208,20 +214,66 @@ def bit_histogram(
     return counts.astype(np.float64)
 
 
-class PackedDataset:
-    """A bit-sliced ``N x d`` binary dataset.
+def plane_count(arity: int) -> int:
+    """Bit-planes needed for codes in ``range(arity)`` (1 for binary)."""
+    return max(1, (int(arity) - 1).bit_length())
 
-    Drop-in for :class:`~repro.marginals.dataset.BinaryDataset` in
-    every marginal-extraction role: exposes ``num_records``,
+
+@functools.lru_cache(maxsize=4096)
+def _code_fold(sel_arities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Map binary bit-plane codes onto mixed-radix cells.
+
+    For selected arities ``(b_0, ..., b_{m-1})`` with plane widths
+    ``nb_j``, returns ``(valid, cell)``: the binary codes whose every
+    digit is in range, and the mixed-radix cell each folds onto.  For
+    arity-2 attributes the fold is the identity.
+    """
+    nbits = [plane_count(b) for b in sel_arities]
+    codes = np.arange(1 << sum(nbits), dtype=np.int64)
+    cell = np.zeros(codes.size, dtype=np.int64)
+    ok = np.ones(codes.size, dtype=bool)
+    offset = 0
+    for b, nb, stride in zip(sel_arities, nbits, strides(sel_arities)):
+        digit = (codes >> offset) & ((1 << nb) - 1)
+        ok &= digit < b
+        cell += digit * stride
+        offset += nb
+    valid = np.flatnonzero(ok)
+    out_cell = cell[valid]
+    valid.setflags(write=False)
+    out_cell.setflags(write=False)
+    return valid, out_cell
+
+
+class PackedDataset:
+    """A bit-sliced ``N x d`` dataset.
+
+    Drop-in for :class:`~repro.marginals.dataset.BinaryDataset` (and,
+    with a ``domain``, for
+    :class:`~repro.categorical.dataset.CategoricalDataset`) in every
+    marginal-extraction role: exposes ``num_records``,
     ``num_attributes``, ``marginal``, ``marginals`` and
     ``attribute_means`` with identical (bitwise) results, at ~1/8th
     the memory and typically an order of magnitude faster extraction.
 
+    An attribute of arity ``b`` is stored as ``plane_count(b)`` packed
+    bit-planes of its code (LSB first), so a binary attribute is one
+    row and an all-binary dataset is one row per attribute.  For a
+    target whose planes total at most 8 bits, one
+    :func:`bit_histogram` pass counts the binary-coded cells and a
+    cached fold collapses each code onto its mixed-radix cell (the
+    identity for arity-2 attributes); the invalid codes
+    (``digit_j >= b_j``) hold zero records by construction.  Wider
+    all-binary targets take the zeta/Möbius path; wider targets with
+    a non-binary attribute fall back to a chunked unpack +
+    ``bincount`` — still streaming, still exact.
+
     Parameters
     ----------
     words:
-        ``(d, ceil(N/64))`` uint64 array as built by
-        :func:`pack_columns`.  Padding bits past ``N`` must be zero.
+        ``(planes, ceil(N/64))`` uint64 array as built by
+        :func:`pack_columns` (one row per attribute when binary).
+        Padding bits past ``N`` must be zero.
     num_records:
         ``N`` — recoverable neither from ``words``' shape alone nor
         from its content (trailing all-zero records are legal).
@@ -230,6 +282,11 @@ class PackedDataset:
     chunk_words:
         Streaming chunk width for the marginal kernel (see module
         docstring); mostly a tuning/testing knob.
+    domain:
+        Optional :class:`~repro.marginals.domain.Domain` (or anything
+        :func:`~repro.marginals.domain.as_domain` accepts) giving the
+        attribute arities.  ``None`` means every attribute is binary;
+        with a domain, marginals carry its arities.
     """
 
     def __init__(
@@ -238,10 +295,22 @@ class PackedDataset:
         num_records: int,
         name: str = "packed",
         chunk_words: int = DEFAULT_CHUNK_WORDS,
+        domain=None,
     ):
         words = np.ascontiguousarray(words, dtype=np.uint64)
         if words.ndim != 2:
             raise DimensionError(f"words must be 2-D, got shape {words.shape}")
+        self.domain = None if domain is None else as_domain(domain)
+        nbits = (
+            [1] * words.shape[0]
+            if self.domain is None
+            else [plane_count(b) for b in self.domain.arities]
+        )
+        if words.shape[0] != sum(nbits):
+            raise DimensionError(
+                f"words shape {words.shape} inconsistent with domain "
+                f"{self.domain!r} ({sum(nbits)} bit-planes)"
+            )
         if num_records < 0 or words.shape[1] != (num_records + 63) // 64:
             raise DimensionError(
                 f"words shape {words.shape} inconsistent with N={num_records}"
@@ -250,6 +319,8 @@ class PackedDataset:
             raise DimensionError(f"chunk_words must be >= 1, got {chunk_words}")
         self._words = words
         self._num_records = int(num_records)
+        self._nbits = tuple(nbits)
+        self._offsets = tuple(int(o) for o in np.cumsum([0] + nbits[:-1]))
         self.name = name
         self.chunk_words = int(chunk_words)
 
@@ -262,16 +333,40 @@ class PackedDataset:
         data,
         name: str = "packed",
         chunk_words: int = DEFAULT_CHUNK_WORDS,
+        domain=None,
     ) -> "PackedDataset":
-        """Pack an ``(N, d)`` array of 0/1 values."""
-        arr = np.asarray(data, dtype=np.uint8)
+        """Pack an ``(N, d)`` array of 0/1 values, or of integer codes
+        in ``range(arity)`` per attribute when a ``domain`` is given."""
+        arr = np.asarray(data, dtype=np.uint8 if domain is None else np.int64)
         if arr.ndim != 2:
             raise DimensionError(f"data must be 2-D, got shape {arr.shape}")
-        if arr.size and arr.max() > 1:
-            raise DimensionError("data must contain only 0/1 values")
+        if domain is None:
+            if arr.size and arr.max() > 1:
+                raise DimensionError("data must contain only 0/1 values")
+            planes = arr
+        else:
+            domain = as_domain(domain)
+            if arr.shape[1] != domain.num_attributes:
+                raise DimensionError(
+                    f"data has {arr.shape[1]} columns, domain has "
+                    f"{domain.num_attributes} attributes"
+                )
+            columns = []
+            for j, b in enumerate(domain.arities):
+                column = arr[:, j]
+                if column.size and (column.min() < 0 or column.max() >= b):
+                    raise DimensionError(
+                        f"column {j} has values outside range({b})"
+                    )
+                columns.extend((column >> k) & 1 for k in range(plane_count(b)))
+            planes = np.zeros((arr.shape[0], 0), dtype=np.uint8)
+            if columns:
+                planes = np.stack(columns, axis=1).astype(np.uint8)
         with obs.span("kernel.pack"):
-            words = pack_columns(arr)
-        return cls(words, arr.shape[0], name=name, chunk_words=chunk_words)
+            words = pack_columns(planes)
+        return cls(
+            words, arr.shape[0], name=name, chunk_words=chunk_words, domain=domain
+        )
 
     @classmethod
     def from_dataset(
@@ -294,7 +389,7 @@ class PackedDataset:
     # ------------------------------------------------------------------
     @property
     def words(self) -> np.ndarray:
-        """The ``(d, ceil(N/64))`` uint64 words (read-only view)."""
+        """The ``(planes, ceil(N/64))`` uint64 words (read-only view)."""
         view = self._words.view()
         view.setflags(write=False)
         return view
@@ -306,8 +401,13 @@ class PackedDataset:
 
     @property
     def num_attributes(self) -> int:
-        """``d``, the number of binary attributes."""
-        return self._words.shape[0]
+        """``d``, the number of attributes."""
+        return len(self._nbits)
+
+    @property
+    def arities(self) -> tuple[int, ...]:
+        """Per-attribute arities (all 2 without a domain)."""
+        return (2,) * len(self._nbits) if self.domain is None else self.domain.arities
 
     @property
     def num_words(self) -> int:
@@ -324,33 +424,53 @@ class PackedDataset:
         )
 
     def unpacked(self) -> np.ndarray:
-        """The dataset back as an ``(N, d)`` uint8 matrix."""
-        return unpack_columns(self._words, self._num_records)
+        """The dataset back as an ``(N, d)`` matrix: uint8 bits without
+        a domain, int64 codes with one."""
+        bits = unpack_columns(self._words, self._num_records)
+        if self.domain is None:
+            return bits
+        out = np.zeros((self._num_records, self.num_attributes), dtype=np.int64)
+        for j, (offset, nb) in enumerate(zip(self._offsets, self._nbits)):
+            for k in range(nb):
+                out[:, j] |= bits[:, offset + k].astype(np.int64) << k
+        return out
 
     def attribute_means(self) -> np.ndarray:
-        """Per-attribute fraction of ones; handy for sanity checks."""
+        """Per-attribute fraction of ones (binary datasets); handy for
+        sanity checks."""
         if self._num_records == 0:
             return np.zeros(self.num_attributes)
-        if _HAS_BITWISE_COUNT:
-            ones = np.bitwise_count(self._words).sum(axis=1, dtype=np.uint64)
-        else:
-            ones = (
-                _POPCOUNT_LUT[self._words.view(np.uint8)]
-                .reshape(self.num_attributes, -1)
-                .sum(axis=1, dtype=np.uint64)
-            )
-        return ones.astype(np.float64) / self._num_records
+        return popcount_rows(self._words).astype(np.float64) / self._num_records
 
     # ------------------------------------------------------------------
     # Marginals
     # ------------------------------------------------------------------
+    def _attr_set(self, attrs) -> AttrSet:
+        """``attrs`` validated, carrying the domain's arities if any."""
+        attrs = AttrSet(attrs, self.num_attributes)
+        if self.domain is None:
+            return attrs
+        return attrs.with_arities(self.domain.arities[a] for a in attrs)
+
+    def _plane_rows(self, attrs: AttrSet) -> list[int]:
+        """Bit-plane row indices (LSB-first, attr-major) for ``attrs``."""
+        return [
+            self._offsets[a] + k for a in attrs for k in range(self._nbits[a])
+        ]
+
     def subset_counts(self, attrs) -> np.ndarray:
         """Zeta counts: entry ``S`` counts records with ``attrs[S]`` all 1.
 
         Subsets are encoded with attribute rank ``j`` (within the
-        sorted ``attrs``) as bit ``j``.  Entry 0 is ``N``.
+        sorted ``attrs``) as bit ``j``.  Entry 0 is ``N``.  Binary
+        attributes only.
         """
-        attrs = AttrSet(attrs, self.num_attributes)
+        attrs = self._attr_set(attrs)
+        if not attrs.is_binary:
+            raise DimensionError(
+                f"subset counts need binary attributes, got {attrs!r}"
+            )
+        rows = self._plane_rows(attrs)
         arity = len(attrs)
         zeta = np.zeros(1 << arity, dtype=np.uint64)
         if arity == 0:
@@ -364,7 +484,7 @@ class PackedDataset:
             stop = min(start + chunk, nwords)
             # Level 1: the attribute columns themselves, as one
             # contiguous (arity, width) block (fancy indexing copies).
-            cols = self._words[list(attrs), start:stop]
+            cols = self._words[rows, start:stop]
             zeta[singleton_bits] += popcount_rows(cols)
             masks = cols
             for parent_index, new_rank, subset_bits in levels:
@@ -377,37 +497,58 @@ class PackedDataset:
         zeta[0] = self._num_records
         return zeta
 
-    def _cell_histogram(self, attrs: AttrSet) -> np.ndarray:
-        """Transpose-histogram kernel for ``arity <= 8``.
-
-        Delegates to the shared :func:`bit_histogram` over the
-        selected attribute rows; for binary attributes the per-record
-        binary code *is* the cell index, so no further folding is
-        needed (the packed categorical path folds bit-plane codes into
-        mixed-radix cells on top of the same kernel).
-        """
-        return bit_histogram(
-            self._words[list(attrs)], self._num_records, self.chunk_words
-        )
-
     def cell_counts(self, attrs) -> np.ndarray:
         """Exact cell counts of the marginal over ``attrs``."""
-        attrs = AttrSet(attrs, self.num_attributes)
+        attrs = self._attr_set(attrs)
+        rows = self._plane_rows(attrs)
         with obs.span("kernel.marginal"):
-            if 0 < len(attrs) <= 8:
-                counts = self._cell_histogram(attrs)
-            else:
+            if 0 < len(rows) <= 8:
+                counts = bit_histogram(
+                    self._words[rows], self._num_records, self.chunk_words
+                )
+                if not attrs.is_binary:
+                    valid, cell = _code_fold(attrs.arities)
+                    folded = np.zeros(attrs.size)
+                    np.add.at(folded, cell, counts[valid])
+                    counts = folded
+            elif attrs.is_binary:
                 counts = moebius_from_subset_counts(self.subset_counts(attrs))
+            else:
+                counts = self._wide_counts(rows, attrs.arities)
         obs.incr("kernel.packed_marginals")
         return counts
+
+    def _wide_counts(self, rows, sel_arities) -> np.ndarray:
+        """Chunked unpack + bincount for non-binary targets wider than
+        8 planes."""
+        cell_strides = strides(sel_arities)
+        nbits = [plane_count(b) for b in sel_arities]
+        counts = np.zeros(table_size(sel_arities), dtype=np.int64)
+        plane_rows = self._words[rows]
+        for start in range(0, self.num_words, self.chunk_words):
+            stop = min(start + self.chunk_words, self.num_words)
+            lo, hi = start * 64, min(stop * 64, self._num_records)
+            bits = np.unpackbits(
+                np.ascontiguousarray(plane_rows[:, start:stop]).view(np.uint8),
+                axis=1,
+                bitorder="little",
+            )[:, : hi - lo].astype(np.int64)
+            idx = np.zeros(bits.shape[1], dtype=np.int64)
+            row = 0
+            for nb, stride in zip(nbits, cell_strides):
+                for k in range(nb):
+                    idx += (bits[row + k] << k) * stride
+                row += nb
+            counts += np.bincount(idx, minlength=counts.size)
+        return counts.astype(np.float64)
 
     def marginal(self, attrs) -> MarginalTable:
         """The exact (non-private) marginal table over ``attrs``.
 
-        Bitwise identical to ``BinaryDataset.marginal`` on the same
-        records.
+        Bitwise identical to ``BinaryDataset.marginal`` (or, with a
+        domain, ``CategoricalDataset.marginal``) on the same records.
         """
-        attrs = AttrSet(attrs, self.num_attributes)
+        attrs = self._attr_set(attrs)
         return MarginalTable(attrs, self.cell_counts(attrs))
 
     def marginals(self, attr_sets) -> list[MarginalTable]:
@@ -418,9 +559,10 @@ class PackedDataset:
 def as_packed(dataset, chunk_words: int = DEFAULT_CHUNK_WORDS):
     """``dataset`` as a :class:`PackedDataset` (pass-through if already).
 
-    :class:`BinaryDataset` instances cache the packed form on first
-    use (see :meth:`BinaryDataset.packed`), so repeated fits don't
-    re-pack.
+    :class:`BinaryDataset` and
+    :class:`~repro.categorical.dataset.CategoricalDataset` instances
+    cache the packed form on first use (their ``packed`` method), so
+    repeated fits don't re-pack.
     """
     if isinstance(dataset, PackedDataset):
         return dataset

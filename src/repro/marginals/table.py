@@ -12,7 +12,6 @@ possibly negative) real count per assignment of the attributes in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +21,6 @@ from repro.marginals.attrs import AttrSet
 from repro.marginals.projection import projection_index
 
 
-def __getattr__(name: str):
-    # Deprecated pre-1.1 entry point; AttrSet is the public canonicalizer.
-    if name == "_as_sorted_attrs":
-        warnings.warn(
-            "repro.marginals.table._as_sorted_attrs is deprecated; "
-            "use repro.marginals.attrs.AttrSet instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AttrSet
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class MarginalTable:
     """A contingency table over a sorted tuple of attribute indices.
@@ -42,10 +28,16 @@ class MarginalTable:
     Attributes
     ----------
     attrs:
-        The sorted attribute indices the table is over.
+        The sorted attribute indices the table is over, as an
+        :class:`~repro.marginals.attrs.AttrSet`.  Its optional
+        ``arities`` set the cell layout; without them every attribute
+        is binary.
     counts:
-        Float array of length ``2**len(attrs)``; cell ``i`` counts the
-        records where attribute ``attrs[j]`` equals ``(i >> j) & 1``.
+        Float array of ``attrs.size`` cells under the mixed-radix
+        convention of :mod:`repro.marginals.projection`: cell ``i``
+        assigns attribute ``attrs[j]`` the value
+        ``(i // stride_j) % arities[j]`` — for binary attributes
+        ``(i >> j) & 1``.
     meta:
         Free-form provenance/telemetry attached by producers — e.g.
         the max-entropy reconstructor stores its convergence record
@@ -59,10 +51,10 @@ class MarginalTable:
     def __post_init__(self) -> None:
         self.attrs = AttrSet(self.attrs)
         counts = np.asarray(self.counts, dtype=np.float64)
-        if counts.shape != (1 << len(self.attrs),):
+        if counts.shape != (self.attrs.size,):
             raise DimensionError(
                 f"counts has shape {counts.shape}, expected "
-                f"({1 << len(self.attrs)},) for attrs {self.attrs}"
+                f"({self.attrs.size},) for attrs {self.attrs!r}"
             )
         self.counts = counts
 
@@ -73,13 +65,13 @@ class MarginalTable:
     def zeros(cls, attrs) -> "MarginalTable":
         """An all-zero table over ``attrs``."""
         attrs = AttrSet(attrs)
-        return cls(attrs, np.zeros(1 << len(attrs)))
+        return cls(attrs, np.zeros(attrs.size))
 
     @classmethod
     def uniform(cls, attrs, total: float) -> "MarginalTable":
         """A uniform table over ``attrs`` whose cells sum to ``total``."""
         attrs = AttrSet(attrs)
-        size = 1 << len(attrs)
+        size = attrs.size
         return cls(attrs, np.full(size, total / size))
 
     # ------------------------------------------------------------------
@@ -91,8 +83,18 @@ class MarginalTable:
         return len(self.attrs)
 
     @property
+    def arities(self) -> tuple[int, ...]:
+        """Number of values of each attribute, aligned with ``attrs``."""
+        return self.attrs.arities or (2,) * len(self.attrs)
+
+    @property
+    def is_binary(self) -> bool:
+        """True when every attribute has arity 2."""
+        return self.attrs.is_binary
+
+    @property
     def size(self) -> int:
-        """Number of cells, ``2**arity``."""
+        """Number of cells, ``prod(arities)``."""
         return self.counts.size
 
     def total(self) -> float:
@@ -104,11 +106,7 @@ class MarginalTable:
         return MarginalTable(self.attrs, self.counts.copy(), dict(self.meta))
 
     def with_counts(self, counts) -> "MarginalTable":
-        """A same-shape table over the same attrs with new counts.
-
-        The type-generic rebuild hook the noisy-view fan-out uses, so
-        binary and categorical tables flow through the same kernel.
-        """
+        """A same-shape table over the same attrs with new counts."""
         return MarginalTable(self.attrs, counts)
 
     # ------------------------------------------------------------------
@@ -121,22 +119,26 @@ class MarginalTable:
         onto the empty tuple yields a 1-cell table holding the total.
         """
         sub = AttrSet(sub_attrs)
-        _, pmap = projection_index(self.attrs, sub)
-        counts = np.bincount(pmap, weights=self.counts, minlength=1 << len(sub))
+        arities = self.attrs.arities
+        positions, pmap = projection_index(self.attrs, sub, arities)
+        if arities is not None:
+            sub = sub.with_arities(arities[p] for p in positions)
+        counts = np.bincount(pmap, weights=self.counts, minlength=sub.size)
         return MarginalTable(sub, counts)
 
     def consistency_update(self, target: "MarginalTable") -> None:
         """Shift cells so that ``self.project(target.attrs) == target``.
 
         Implements the Section 4.4 update: every cell ``c`` receives
-        ``(T_A(a) - T_self[A](a)) / 2**(arity - |A|)`` where ``a`` is
-        ``c`` restricted to ``A = target.attrs``.  The projection of
-        ``self`` onto any attribute set disjoint from ``A`` is
-        unchanged (Lemma 1).
+        ``(T_A(a) - T_self[A](a)) / s`` where ``a`` is ``c`` restricted
+        to ``A = target.attrs`` and ``s`` is the number of cells
+        collapsing onto each target cell (``2**(arity - |A|)`` for
+        binary tables).  The projection of ``self`` onto any attribute
+        set disjoint from ``A`` is unchanged (Lemma 1).
         """
-        _, pmap = projection_index(self.attrs, target.attrs)
+        _, pmap = projection_index(self.attrs, target.attrs, self.attrs.arities)
         current = np.bincount(pmap, weights=self.counts, minlength=target.size)
-        delta = (target.counts - current) / float(1 << (self.arity - target.arity))
+        delta = (target.counts - current) / float(self.size // target.size)
         self.counts += delta[pmap]
 
     # ------------------------------------------------------------------

@@ -175,14 +175,6 @@ class QueryEngine:
         self.default_method = default_method
         self.derive_from_cache = derive_from_cache
         self._views: list[MarginalTable] = list(getattr(source, "views", ()) or ())
-        # Mixed-radix (categorical) sources carry non-binary view
-        # tables the binary planner and solvers must not touch: treat
-        # them as viewless, so every cache miss is answered by the
-        # source's own reconstruct()/marginal() (still planned,
-        # cached, coalesced and counted like any solved query).
-        self._mixed = getattr(source, "arities", None) is not None
-        if self._mixed:
-            self._views = []
         self._planner = QueryPlanner(self._views, source.num_attributes)
         self._cache = SingleFlightLRU(cache_size)
         self._pool = ThreadPoolExecutor(
@@ -476,15 +468,8 @@ class QueryEngine:
                     target, method
                 )
             else:
-                # Viewless source: the mechanism answers directly —
-                # through its engine-independent reconstruct() when it
-                # has one (an attached synopsis's marginal() routes
-                # back here, so calling it would recurse).
-                direct = getattr(self.source, "reconstruct", None)
-                if callable(direct):
-                    table = direct(target, method=method)
-                else:
-                    table = self.source.marginal(target)
+                # Viewless source: the mechanism answers directly.
+                table = self.source.marginal(target)
         self._note_cached_arity(method, len(target))
         return _CacheEntry(table=table, path=plan.path, source=plan.source)
 

@@ -30,7 +30,9 @@ Errors (any status >= 400)::
 
 ``counts`` uses the library-wide cell convention: sorted attrs
 ``(a_0 < ... < a_{m-1})``, cell ``i`` counts records with
-``a_j = (i >> j) & 1``.
+``a_j = (i >> j) & 1``.  Answers over attributes with more than two
+values add ``"arities": [b_0, ...]``, and cell ``i`` then counts
+records with ``a_j = (i // (b_0 * ... * b_{j-1})) % b_j``.
 """
 
 from __future__ import annotations
@@ -58,31 +60,19 @@ def encode_answer(answer: QueryAnswer) -> dict:
         "counts": answer.table.counts.tolist(),
         "meta": jsonable(answer.table.meta),
     }
-    arities = getattr(answer.table, "arities", None)
-    if arities is not None:
-        payload["arities"] = [int(b) for b in arities]
+    if not answer.table.is_binary:
+        payload["arities"] = list(answer.table.arities)
     return payload
 
 
-def decode_table(payload: dict):
+def decode_table(payload: dict) -> MarginalTable:
     """Rebuild the marginal table from an answer payload.
 
-    Payloads carrying ``arities`` (mixed-type synopses) come back as
-    :class:`~repro.categorical.table.CategoricalMarginalTable`; binary
-    payloads as :class:`MarginalTable`.
+    Payloads over non-binary attributes carry ``arities``, which the
+    rebuilt table's attribute set keeps; binary payloads carry none.
     """
-    arities = payload.get("arities")
-    if arities is not None:
-        from repro.categorical.table import CategoricalMarginalTable
-
-        return CategoricalMarginalTable(
-            tuple(payload["attrs"]),
-            tuple(int(b) for b in arities),
-            np.asarray(payload["counts"], dtype=np.float64),
-            dict(payload.get("meta") or {}),
-        )
     return MarginalTable(
-        tuple(payload["attrs"]),
+        AttrSet(payload["attrs"], arities=payload.get("arities")),
         np.asarray(payload["counts"], dtype=np.float64),
         dict(payload.get("meta") or {}),
     )

@@ -20,10 +20,9 @@ lower the mean L1 distance to the views is rolled back and ``alpha``
 halved — so the recorded error ``history`` is monotone non-increasing
 by construction.
 
-Both synopsis kinds work: binary :class:`~repro.core.synopsis.\
-PriViewSynopsis` views use the bit-``j`` cell convention, which *is*
-the mixed-radix convention with every arity 2, so one code path
-handles both.
+Binary and categorical synopses share one code path: binary views use
+the bit-``j`` cell convention, which *is* the mixed-radix convention
+with every arity 2.
 """
 
 from __future__ import annotations
@@ -43,22 +42,20 @@ def domain_of(synopsis) -> Domain:
     """The richest domain the synopsis knows about.
 
     The attached :class:`Domain` when present; else a plain
-    categorical domain from ``arities``; else the binary domain of
-    ``num_attributes``.
+    categorical domain from the synopsis's ``arities`` (all 2 for a
+    binary synopsis).
     """
     domain = getattr(synopsis, "domain", None)
     if domain is not None:
         return domain
-    arities = getattr(synopsis, "arities", None)
-    if arities is not None:
-        return Domain.from_arities(arities)
-    num_attributes = getattr(synopsis, "num_attributes", None)
-    if num_attributes is None:
+    try:
+        arities = synopsis.arities or (2,) * int(synopsis.num_attributes)
+    except (AttributeError, TypeError) as exc:
         raise SynthesisError(
             f"cannot infer a domain from {type(synopsis).__name__} "
             "(no domain, arities or num_attributes)"
-        )
-    return Domain.binary(int(num_attributes))
+        ) from exc
+    return Domain.from_arities(arities)
 
 
 class _ViewSpec:
@@ -99,21 +96,16 @@ class _ViewSpec:
         return out
 
 
-def _view_specs(synopsis, domain: Domain) -> list[_ViewSpec]:
+def _view_specs(synopsis) -> list[_ViewSpec]:
     views = list(getattr(synopsis, "views", ()) or ())
     if not views:
         raise SynthesisError(
             f"{type(synopsis).__name__} has no views to synthesise from"
         )
-    arities = domain.arities
-    specs = []
-    for view in views:
-        attrs = tuple(int(a) for a in view.attrs)
-        view_arities = getattr(view, "arities", None)
-        if view_arities is None:  # binary MarginalTable
-            view_arities = tuple(arities[a] for a in attrs)
-        specs.append(_ViewSpec(attrs, view_arities, view.counts))
-    return specs
+    return [
+        _ViewSpec(view.attrs, view.arities, view.counts)
+        for view in views
+    ]
 
 
 class Synthesizer:
@@ -163,7 +155,7 @@ class Synthesizer:
         fit_start = perf_counter()
         with obs.span("synth.fit"), obs.budget_scope("Synthesizer.fit", 0.0):
             domain = domain_of(synopsis)
-            specs = _view_specs(synopsis, domain)
+            specs = _view_specs(synopsis)
             if num_records is None:
                 num_records = int(round(float(synopsis.total_count())))
             n = max(int(num_records), 1)

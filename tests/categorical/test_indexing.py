@@ -1,13 +1,13 @@
-"""Tests for mixed-radix indexing."""
+"""Tests for mixed-radix indexing (the non-binary projection layouts)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.categorical.indexing import (
-    categorical_neighbours,
-    mixed_radix_projection_map,
+from repro.marginals.projection import (
+    cell_neighbours,
+    projection_map,
     strides,
     table_size,
 )
@@ -24,26 +24,24 @@ class TestBasics:
 
     def test_binary_special_case(self):
         """With all-2 arities the map matches the binary projection."""
-        from repro.marginals.projection import projection_map
-
         binary = projection_map(4, (1, 3))
-        categorical = mixed_radix_projection_map((2, 2, 2, 2), (1, 3))
+        categorical = projection_map((2, 2, 2, 2), (1, 3))
         assert np.array_equal(binary, categorical)
 
 
 class TestProjectionMap:
     def test_identity(self):
-        pmap = mixed_radix_projection_map((3, 2), (0, 1))
+        pmap = projection_map((3, 2), (0, 1))
         assert np.array_equal(pmap, np.arange(6))
 
     def test_single_attribute(self):
-        pmap = mixed_radix_projection_map((3, 2), (0,))
+        pmap = projection_map((3, 2), (0,))
         # cells: (a0, a1) = (i%3, i//3)
         assert np.array_equal(pmap, [0, 1, 2, 0, 1, 2])
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
-            mixed_radix_projection_map((3, 2), (2,))
+            projection_map((3, 2), (2,))
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -63,7 +61,7 @@ class TestProjectionMap:
                 )
             )
         )
-        pmap = mixed_radix_projection_map(arities, positions)
+        pmap = projection_map(arities, positions)
         sub_size = table_size([arities[p] for p in positions])
         counts = np.bincount(pmap, minlength=sub_size)
         assert np.all(counts == table_size(arities) // sub_size)
@@ -71,19 +69,17 @@ class TestProjectionMap:
 
 class TestNeighbours:
     def test_degree(self):
-        nb = categorical_neighbours((3, 4))
+        nb = cell_neighbours((3, 4))
         assert nb.shape == (12, (3 - 1) + (4 - 1))
 
     def test_binary_matches_bitflip(self):
-        from repro.marginals.projection import cell_neighbours
-
-        categorical = np.sort(categorical_neighbours((2, 2, 2)), axis=1)
+        categorical = np.sort(cell_neighbours((2, 2, 2)), axis=1)
         binary = np.sort(cell_neighbours(3), axis=1)
         assert np.array_equal(categorical, binary)
 
     def test_neighbours_differ_in_one_digit(self):
         arities = (3, 2, 4)
-        nb = categorical_neighbours(arities)
+        nb = cell_neighbours(arities)
         s = strides(arities)
         for cell in range(table_size(arities)):
             for other in nb[cell]:

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.table import CategoricalMarginalTable
 from repro.exceptions import DimensionError
+from repro.marginals.attrs import AttrSet
+from repro.marginals.table import MarginalTable
+
+
+def _mixed_table(attrs, arities, counts) -> MarginalTable:
+    """A mixed-radix table: a MarginalTable whose attrs carry arities."""
+    return MarginalTable(AttrSet(attrs, arities=arities), counts)
 
 
 @pytest.fixture
@@ -15,27 +21,27 @@ def cat_dataset(rng) -> CategoricalDataset:
 
 class TestTable:
     def test_sorted_attrs_keep_arity_alignment(self):
-        table = CategoricalMarginalTable((5, 2), (3, 4), np.zeros(12))
+        table = _mixed_table((5, 2), (3, 4), np.zeros(12))
         assert table.attrs == (2, 5)
         assert table.arities == (4, 3)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionError):
-            CategoricalMarginalTable((0, 1), (3, 2), np.zeros(5))
+            _mixed_table((0, 1), (3, 2), np.zeros(5))
 
     def test_rejects_unary_attribute(self):
         with pytest.raises(DimensionError):
-            CategoricalMarginalTable((0,), (1,), np.zeros(1))
+            _mixed_table((0,), (1,), np.zeros(1))
 
     def test_projection_preserves_total(self, rng):
-        table = CategoricalMarginalTable(
+        table = _mixed_table(
             (0, 1, 2), (3, 2, 4), rng.random(24)
         )
         for sub in [(0,), (1, 2), ()]:
             assert table.project(sub).total() == pytest.approx(table.total())
 
     def test_projection_composes(self, rng):
-        table = CategoricalMarginalTable(
+        table = _mixed_table(
             (0, 1, 2), (3, 2, 4), rng.random(24)
         )
         direct = table.project((2,))
@@ -43,27 +49,27 @@ class TestTable:
         assert np.allclose(direct.counts, via.counts)
 
     def test_consistency_update_reaches_target(self, rng):
-        table = CategoricalMarginalTable(
+        table = _mixed_table(
             (0, 1), (3, 4), rng.random(12) * 10
         )
-        target = CategoricalMarginalTable((0,), (3,), np.array([5.0, 3.0, 2.0]))
+        target = _mixed_table((0,), (3,), np.array([5.0, 3.0, 2.0]))
         table.consistency_update(target)
         assert np.allclose(table.project((0,)).counts, target.counts)
 
     def test_consistency_update_lemma1(self, rng):
         """Total-preserving update on one attr leaves the other."""
-        table = CategoricalMarginalTable(
+        table = _mixed_table(
             (0, 1), (3, 4), rng.random(12) * 10
         )
         current = table.project((0,)).counts
         perturbation = np.array([1.0, -0.5, -0.5])
-        target = CategoricalMarginalTable((0,), (3,), current + perturbation)
+        target = _mixed_table((0,), (3,), current + perturbation)
         before = table.project((1,)).counts.copy()
         table.consistency_update(target)
         assert np.allclose(table.project((1,)).counts, before)
 
     def test_uniform_and_normalized(self):
-        table = CategoricalMarginalTable.uniform((0, 1), (3, 2), 60.0)
+        table = MarginalTable.uniform(AttrSet((0, 1), arities=(3, 2)), 60.0)
         assert np.allclose(table.counts, 10.0)
         assert table.normalized().sum() == pytest.approx(1.0)
 
@@ -97,6 +103,13 @@ class TestDataset:
         big = cat_dataset.marginal((0, 1, 3))
         small = cat_dataset.marginal((1, 3))
         assert np.allclose(big.project((1, 3)).counts, small.counts)
+
+    def test_negative_attribute_rejected_like_packed(self, cat_dataset):
+        for attrs in [(-1,), (0, -2)]:
+            with pytest.raises(DimensionError):
+                cat_dataset.marginal(attrs)
+            with pytest.raises(DimensionError):
+                cat_dataset.packed().marginal(attrs)
 
     def test_data_read_only(self, cat_dataset):
         with pytest.raises(ValueError):

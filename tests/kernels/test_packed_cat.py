@@ -1,4 +1,4 @@
-"""Bit-plane categorical kernels vs the naive marginal extractor."""
+"""Bit-plane packed kernels over mixed domains vs the naive extractor."""
 
 import itertools
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.kernels.packed_cat import (
-    PackedCategoricalDataset,
-    as_packed_categorical,
-    plane_count,
-)
+from repro.kernels.packed import PackedDataset, as_packed, plane_count
 from repro.marginals.domain import Domain
 
 
@@ -31,7 +27,7 @@ class TestPackedEqualsNaive:
         arities = tuple(int(b) for b in rng.integers(2, 9, size=d))
         n = int(rng.integers(50, 400))
         dataset = CategoricalDataset.random(n, arities, rng=rng)
-        packed = as_packed_categorical(dataset)
+        packed = as_packed(dataset)
         assert packed.arities == arities
         for k in (1, 2, 3):
             for attrs in itertools.combinations(range(d), k):
@@ -45,7 +41,7 @@ class TestPackedEqualsNaive:
         rng = np.random.default_rng(0)
         for n in (63, 64, 65, 128, 129):
             dataset = CategoricalDataset.random(n, (3, 5, 2), rng=rng)
-            packed = as_packed_categorical(dataset)
+            packed = as_packed(dataset)
             for attrs in ((0,), (1, 2), (0, 1, 2)):
                 np.testing.assert_array_equal(
                     packed.marginal(attrs).counts,
@@ -55,20 +51,20 @@ class TestPackedEqualsNaive:
     def test_unpacked_round_trip(self):
         rng = np.random.default_rng(1)
         dataset = CategoricalDataset.random(200, (4, 3, 7), rng=rng)
-        packed = as_packed_categorical(dataset)
+        packed = as_packed(dataset)
         np.testing.assert_array_equal(packed.unpacked(), dataset.data)
 
     def test_as_packed_passthrough(self):
         rng = np.random.default_rng(2)
         dataset = CategoricalDataset.random(64, (3, 3), rng=rng)
-        packed = as_packed_categorical(dataset)
-        assert as_packed_categorical(packed) is packed
+        packed = as_packed(dataset)
+        assert as_packed(packed) is packed
 
     def test_domain_rides_along(self):
         dom = Domain.from_arities((3, 4))
         dataset = CategoricalDataset.random(
             100, dom, rng=np.random.default_rng(3)
         )
-        packed = as_packed_categorical(dataset)
-        assert isinstance(packed, PackedCategoricalDataset)
+        packed = as_packed(dataset)
+        assert isinstance(packed, PackedDataset)
         assert getattr(packed, "domain", None) == dom

@@ -105,13 +105,6 @@ class TestSetOperations:
 
 
 class TestDeprecatedShim:
-    def test_table_as_sorted_attrs_warns_and_works(self):
-        import repro.marginals.table as table_mod
-
-        with pytest.warns(DeprecationWarning, match="_as_sorted_attrs"):
-            shim = table_mod._as_sorted_attrs
-        assert shim((3, 1)) == (1, 3)
-
     def test_unknown_attribute_still_raises(self):
         import repro.marginals.table as table_mod
 

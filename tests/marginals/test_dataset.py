@@ -106,6 +106,17 @@ class TestMarginals:
         with pytest.raises(DimensionError):
             tiny_dataset.marginal((0, 6))
 
+    def test_negative_attribute_rejected_like_packed(self, tiny_dataset):
+        """-1 must not silently mean the last column: the packed
+        kernels raise, and the naive path must agree."""
+        for attrs in [(-1,), (-1, 2)]:
+            with pytest.raises(DimensionError):
+                tiny_dataset.marginal(attrs)
+            with pytest.raises(DimensionError):
+                tiny_dataset.packed().marginal(attrs)
+            with pytest.raises(DimensionError):
+                tiny_dataset.cell_index(attrs)
+
     def test_marginals_plural(self, tiny_dataset):
         tables = tiny_dataset.marginals([(0,), (1, 2)])
         assert [t.attrs for t in tables] == [(0,), (1, 2)]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.nonnegativity import ripple
 from repro.exceptions import DimensionError
+from repro.marginals.attrs import AttrSet
 from repro.marginals.projection import (
     cell_neighbours,
     constraint_matrix,
@@ -108,3 +110,44 @@ class TestCellNeighbours:
         for cell in range(8):
             for other in nb[cell]:
                 assert cell in nb[other]
+
+
+class TestMapsKeyedOnArities:
+    """AttrSet equality and hashing ignore arities, so every memoised
+    map must be keyed on the layout, not on attribute tuples alone."""
+
+    def test_categorical_and_binary_tables_in_one_process(self):
+        from repro.marginals.table import MarginalTable
+
+        mixed = MarginalTable(
+            AttrSet((0, 1), arities=(3, 2)), np.arange(6, dtype=float)
+        )
+        binary = MarginalTable((0, 1), np.arange(4, dtype=float))
+        assert mixed.attrs == binary.attrs and hash(mixed.attrs) == hash(binary.attrs)
+        for _ in range(2):  # second round hits warm caches in both orders
+            np.testing.assert_array_equal(mixed.project((0,)).counts, [3, 5, 7])
+            np.testing.assert_array_equal(mixed.project((1,)).counts, [3, 12])
+            np.testing.assert_array_equal(binary.project((0,)).counts, [2, 4])
+            np.testing.assert_array_equal(binary.project((1,)).counts, [1, 5])
+            assert mixed.project((0,)).arities == (3,)
+            assert binary.project((0,)).attrs.arities is None
+
+    def test_ripple_uses_the_tables_own_neighbourhood(self):
+        from repro.marginals.table import MarginalTable
+
+        binary = MarginalTable((0, 1), np.array([-4.0, 6.0, 6.0, 6.0]))
+        mixed = MarginalTable(
+            AttrSet((0, 1), arities=(3, 2)),
+            np.array([-6.0, 5.0, 5.0, 5.0, 5.0, 5.0]),
+        )
+        ripple(binary, theta=1.0)
+        ripple(mixed, theta=1.0)
+        ripple(binary, theta=1.0)
+        # binary cell 0's neighbours are cells 1 and 2 (one bit each)
+        np.testing.assert_array_equal(binary.counts, [0.0, 4.0, 4.0, 6.0])
+        # mixed cell 0 = (0, 0): values (1, 0), (2, 0) and (0, 1)
+        np.testing.assert_array_equal(mixed.counts, [0.0, 3.0, 3.0, 3.0, 5.0, 5.0])
+
+    def test_all_two_arities_share_the_binary_map(self):
+        assert projection_map((2, 2, 2), (0, 2)) is projection_map(3, (0, 2))
+        assert cell_neighbours((2, 2)) is cell_neighbours(2)

@@ -97,9 +97,8 @@ class TestServeParser:
 
 
 class TestServeSynopsisMigration:
-    """The deprecated ``serve_synopsis`` alias stays for external
-    users (tests/baselines/test_protocols.py asserts the warning), but
-    nothing inside this repo may call it anymore."""
+    """The ``serve_synopsis`` alias is gone; nothing inside this repo
+    may call it again."""
 
     INTERNAL_CALLERS = (
         "src/repro/cli.py",
@@ -115,16 +114,6 @@ class TestServeSynopsisMigration:
             path = root / relative
             source = path.read_text()
             assert "serve_synopsis" not in source, (
-                f"{relative} still calls the deprecated serve_synopsis"
+                f"{relative} still calls the removed serve_synopsis"
             )
             assert "serve_source" in source or "serve_store" in source
-
-    def test_alias_still_warns_for_external_users(self, chain_synopsis):
-        import warnings
-
-        from repro.serve import serve_synopsis
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning, match="serve_source"):
-                serve_synopsis(chain_synopsis, port=0)

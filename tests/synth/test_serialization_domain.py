@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView, CategoricalSynopsis
+from repro.categorical.priview import CategoricalPriView
 from repro.core.priview import PriView
 from repro.core.serialization import load_synopsis, save_synopsis
+from repro.core.synopsis import PriViewSynopsis
 from repro.exceptions import SynopsisIntegrityError
 from repro.marginals.dataset import BinaryDataset
 from repro.marginals.domain import Attribute, Domain
@@ -26,7 +27,7 @@ def domain() -> Domain:
 
 
 @pytest.fixture(scope="module")
-def cat_synopsis(domain) -> CategoricalSynopsis:
+def cat_synopsis(domain) -> PriViewSynopsis:
     ds = CategoricalDataset.random(8000, domain, rng=np.random.default_rng(1))
     return CategoricalPriView(epsilon=2.0, seed=2).fit(ds)
 
@@ -46,7 +47,8 @@ class TestCategoricalRoundTrip:
     def test_save_load_preserves_everything(self, cat_synopsis, tmp_path):
         path = save_synopsis(cat_synopsis, tmp_path / "cat.npz")
         again = load_synopsis(path)
-        assert isinstance(again, CategoricalSynopsis)
+        assert isinstance(again, PriViewSynopsis)
+        assert again.design is None
         assert again.arities == cat_synopsis.arities
         assert again.domain == cat_synopsis.domain
         assert again.num_views == cat_synopsis.num_views
@@ -74,10 +76,12 @@ class TestCategoricalRoundTrip:
         assert again.domain == dom
 
     def test_domainless_files_still_load(self, cat_synopsis, tmp_path):
-        bare = CategoricalSynopsis(
+        bare = PriViewSynopsis(
+            design=None,
             views=cat_synopsis.views,
-            arities=cat_synopsis.arities,
             epsilon=cat_synopsis.epsilon,
+            num_attributes=cat_synopsis.num_attributes,
+            arities=cat_synopsis.arities,
         )
         again = load_synopsis(save_synopsis(bare, tmp_path / "bare.npz"))
         assert again.domain is None
@@ -121,7 +125,8 @@ class TestStoreIntegration:
             "age", "job", "flag", "kids",
         ]
         again = store.get("mixed")
-        assert isinstance(again, CategoricalSynopsis)
+        assert isinstance(again, PriViewSynopsis)
+        assert again.design is None
         assert again.domain == cat_synopsis.domain
 
     def test_manifest_domain_round_trips(self, cat_synopsis, tmp_path):

@@ -33,9 +33,11 @@ class TestDomainOf:
 
     def test_falls_back_to_arities(self, cat_synopsis):
         bare = type(cat_synopsis)(
+            design=None,
             views=cat_synopsis.views,
-            arities=cat_synopsis.arities,
             epsilon=cat_synopsis.epsilon,
+            num_attributes=cat_synopsis.num_attributes,
+            arities=cat_synopsis.arities,
         )
         assert domain_of(bare).arities == cat_synopsis.arities
 
