@@ -13,10 +13,11 @@ Quickstart
 >>> synopsis = PriView(epsilon=1.0, seed=1).fit(dataset)
 >>> table = synopsis.marginal((0, 3, 7, 11))  # private 4-way marginal
 
-Large fits run the same pipeline on bit-sliced popcount kernels and a
-deterministic worker pool (``docs/PERFORMANCE.md``)::
+Binary fits always count on bit-sliced popcount kernels; large fits
+can also fan their views over a deterministic thread pool
+(``docs/PERFORMANCE.md``)::
 
-    PriView(epsilon=1.0, seed=1, packed=True, workers=8).fit(dataset)
+    PriView(epsilon=1.0, seed=1, workers=8).fit(dataset)
 
 Attribute sets are canonicalised everywhere by :class:`AttrSet`, and
 every mechanism — PriView and each baseline — satisfies the

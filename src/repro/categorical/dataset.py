@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 from repro.marginals.attrs import AttrSet
-from repro.marginals.domain import Domain
 from repro.marginals.projection import strides
 from repro.marginals.table import MarginalTable
 
@@ -47,7 +46,6 @@ class CategoricalDataset:
         self._data = arr
         self.name = name
         self.domain = domain
-        self._packed = None
 
     @classmethod
     def from_columns(
@@ -109,26 +107,14 @@ class CategoricalDataset:
 
     # ------------------------------------------------------------------
     def marginal(self, attrs) -> MarginalTable:
-        """Exact (non-private) marginal over ``attrs``."""
+        """Exact (non-private) marginal over ``attrs``.
+
+        Fits read categorical data through this ``bincount`` directly;
+        it is never bit-packed (see :func:`repro.kernels.as_packed`).
+        """
         attrs = AttrSet(attrs, self.num_attributes)
         attrs = attrs.with_arities(self.arities[a] for a in attrs)
         weights = np.array(strides(attrs.arities), dtype=np.int64)
         idx = self._data[:, list(attrs)] @ weights
         counts = np.bincount(idx, minlength=attrs.size)
         return MarginalTable(attrs, counts.astype(np.float64))
-
-    def packed(self, chunk_words: int | None = None):
-        """This dataset bit-plane packed as a
-        :class:`repro.kernels.PackedDataset` (built once, cached); its
-        ``marginal`` is bitwise identical to :meth:`marginal`."""
-        from repro.kernels.packed import DEFAULT_CHUNK_WORDS, PackedDataset
-
-        chunk_words = chunk_words or DEFAULT_CHUNK_WORDS
-        if self._packed is None or self._packed.chunk_words != chunk_words:
-            self._packed = PackedDataset.from_array(
-                self._data,
-                name=self.name,
-                chunk_words=chunk_words,
-                domain=self.domain or Domain.from_arities(self.arities),
-            )
-        return self._packed

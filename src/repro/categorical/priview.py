@@ -9,11 +9,13 @@ picks views with a per-view cell budget
 (:func:`~repro.categorical.views.select_categorical_views`), and the
 fitted :class:`~repro.core.synopsis.PriViewSynopsis` has no design.
 
-``packed=True`` extracts the exact marginals on the bit-plane packed
-kernels of :class:`~repro.kernels.packed.PackedDataset` (bitwise
-identical), and ``workers=N`` fans the views out with per-view
-``SeedSequence`` child noise streams, bit-identical for any worker
-count — both exactly as for the binary mechanism.
+The exact marginals come off :meth:`CategoricalDataset.marginal
+<repro.categorical.dataset.CategoricalDataset.marginal>`'s own
+``bincount``: categorical data is never bit-packed, because packing
+multi-valued codes costs more than it saves.  ``workers=N`` fans the
+views out with per-view ``SeedSequence`` child noise streams,
+bit-identical for any worker count, exactly as for the binary
+mechanism.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ class CategoricalPriView(PriView):
         Ripple threshold.
     seed:
         Seeds view selection and the noise generator.
-    packed / workers / backend:
-        As in the binary :class:`~repro.core.priview.PriView`.
+    workers / packed:
+        As in the binary :class:`~repro.core.priview.PriView`
+        (``packed`` is deprecated and ignored).
 
     Every noise draw lands in a strict ``CategoricalPriView.fit``
     budget scope that balances exactly to ``epsilon`` (view selection
@@ -58,16 +61,8 @@ class CategoricalPriView(PriView):
         seed: int | None = None,
         packed: bool | None = None,
         workers: int | None = None,
-        backend: str = "auto",
     ):
-        super().__init__(
-            epsilon,
-            theta=theta,
-            seed=seed,
-            packed=packed,
-            workers=workers,
-            backend=backend,
-        )
+        super().__init__(epsilon, theta=theta, seed=seed, workers=workers)
         self.max_cells = max_cells
         self.views = views
 

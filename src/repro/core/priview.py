@@ -12,18 +12,19 @@ scale ``w / epsilon`` per view, by sequential composition over the
 ``w`` views); everything afterwards is post-processing and free.
 
 The fit hot path (one exact ℓ-way marginal per view — the only step
-touching raw records) can run on the bit-sliced popcount kernels and
-a worker pool from :mod:`repro.kernels`::
+touching raw records) picks its extractor from the data
+(:func:`repro.kernels.as_packed`): binary data is read through the
+bit-sliced kernels of :class:`repro.kernels.PackedDataset`, categorical
+data through its own ``bincount``.  Both count exactly, so the choice
+never changes a released synopsis.  The one fit setting is ``workers``::
 
-    PriView(epsilon=1.0, seed=7, packed=True, workers=8).fit(dataset)
+    PriView(epsilon=1.0, seed=7, workers=8).fit(dataset)
 
-``packed=True`` alone changes *nothing* about the released synopsis
-(the packed marginal is bitwise identical and the noise stream is
-untouched).  Setting ``workers`` switches the noise to per-view
-``SeedSequence.spawn`` child streams: the synopsis is then
-bit-identical for any worker count (1, 2, 8, …) and backend, though
-different from the legacy ``workers=None`` sequential stream.  See
-``docs/PERFORMANCE.md``.
+``workers=None`` (the default) draws the noise from one sequential
+stream.  Any integer switches to per-view ``SeedSequence.spawn`` child
+streams and fans the views over that many threads: the synopsis is
+then bit-identical for any worker count (1, 2, 8, …), though different
+from the sequential stream.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -79,22 +80,17 @@ class PriView:
         Ripple threshold.
     seed:
         Seeds the noise generator for reproducible experiments.
-    packed:
-        Run marginal extraction on the bit-sliced popcount kernels
-        (:class:`repro.kernels.PackedDataset`).  Bitwise identical
-        output, typically ~10x faster extraction.  ``None`` (default)
-        inherits the process-wide default set through
-        :func:`repro.kernels.set_fit_defaults` (e.g. the CLI's
-        ``run --packed``).
     workers:
         ``None`` (default, possibly overridden by the process-wide
-        default): legacy sequential noise stream.  Any integer: fan
-        the views out over that many workers with per-view
-        ``SeedSequence.spawn`` streams — bit-identical for every
-        worker count, including 1.
-    backend:
-        Executor backend for the parallel path: ``auto`` (threads),
-        ``serial``, ``thread`` or ``process``.
+        default from :func:`repro.kernels.set_fit_defaults`, e.g. the
+        CLI's ``run --workers``): legacy sequential noise stream.  Any
+        integer: fan the views out over that many threads with
+        per-view ``SeedSequence.spawn`` streams — bit-identical for
+        every worker count, including 1.
+    packed:
+        Deprecated and ignored: binary data is always read through the
+        packed kernels, categorical data never (see the module
+        docstring).
     """
 
     name = "priview"
@@ -114,7 +110,6 @@ class PriView:
         seed: int | None = None,
         packed: bool | None = None,
         workers: int | None = None,
-        backend: str = "auto",
     ):
         if epsilon <= 0:
             raise PrivacyBudgetError(f"epsilon must be positive, got {epsilon}")
@@ -127,9 +122,7 @@ class PriView:
         self.nonneg_rounds = nonneg_rounds
         self.theta = theta
         self.consistency = consistency
-        self.packed = defaults["packed"] if packed is None else bool(packed)
         self.workers = defaults["workers"] if workers is None else workers
-        self.backend = backend
         self._rng = np.random.default_rng(seed)
         self._seed_seq = np.random.SeedSequence(seed)
 
@@ -177,15 +170,15 @@ class PriView:
         """Step 2: the only step that touches the private data.
 
         ``design`` is a :class:`CoveringDesign` or a list of view
-        attribute sets.  With ``packed`` the exact marginals come off
-        the bit-sliced popcount kernels (bitwise-identical counts);
-        with ``workers`` set, views are fanned out with per-view child
-        noise streams (see the class docstring for the determinism
+        attribute sets.  The exact marginals come off the extractor
+        :func:`~repro.kernels.as_packed` picks for ``dataset``; with
+        ``workers`` set, views are fanned out with per-view child
+        noise streams (see the module docstring for the determinism
         contract).
         """
         blocks = design.blocks if isinstance(design, CoveringDesign) else design
         w = len(blocks)
-        source = as_packed(dataset) if self.packed else dataset
+        source = as_packed(dataset)
         if self.workers is None:
             obs.set_gauge("fit.workers", 1)
             return [
@@ -201,7 +194,6 @@ class PriView:
             sensitivity=w,
             root_seed=self._seed_seq,
             workers=self.workers,
-            backend=self.backend,
         )
 
     def post_process(self, views: list[MarginalTable]) -> list[MarginalTable]:
@@ -241,7 +233,6 @@ class PriView:
             self.ledger_scope, configured
         ):
             design, blocks = self.choose_views(dataset)
-            obs.set_gauge("fit.packed", int(self.packed))
             with obs.span("noisy_views"):
                 views = self.generate_noisy_views(dataset, blocks)
             with obs.span("post_process"):

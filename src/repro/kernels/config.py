@@ -1,9 +1,9 @@
 """Process-wide defaults for the fit kernels.
 
-``PriView`` resolves its ``workers`` / ``packed`` constructor defaults
-here, so front-ends (the CLI's ``run --workers/--packed`` flags, test
-harnesses) can switch every fit in the process onto the packed
-kernels or a worker pool without threading parameters through each
+``PriView`` resolves its ``workers`` constructor default here, so
+front-ends (the CLI's ``run --workers`` flag, test harnesses) can
+switch every fit in the process onto per-view spawned noise streams
+and a thread pool without threading parameters through each
 experiment driver.
 """
 
@@ -11,25 +11,20 @@ from __future__ import annotations
 
 from repro.exceptions import ReproError
 
-_UNSET = object()
-
-_DEFAULTS: dict = {"workers": None, "packed": False}
+_DEFAULTS: dict = {"workers": None}
 
 
-def set_fit_defaults(workers=_UNSET, packed=_UNSET) -> dict:
-    """Update the process-wide fit defaults; returns the previous ones.
+def set_fit_defaults(workers: int | None) -> dict:
+    """Set the process-wide fit ``workers``; returns the previous defaults.
 
     ``workers=None`` (the initial default) selects the legacy
     sequential noise stream; any integer switches fits onto
     per-view spawned streams (see ``docs/PERFORMANCE.md``).
     """
+    if workers is not None and not isinstance(workers, int):
+        raise ReproError(f"workers must be an int or None, got {workers!r}")
     previous = dict(_DEFAULTS)
-    if workers is not _UNSET:
-        if workers is not None and not isinstance(workers, int):
-            raise ReproError(f"workers must be an int or None, got {workers!r}")
-        _DEFAULTS["workers"] = workers
-    if packed is not _UNSET:
-        _DEFAULTS["packed"] = bool(packed)
+    _DEFAULTS["workers"] = workers
     return previous
 
 

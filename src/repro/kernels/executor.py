@@ -1,32 +1,17 @@
-"""Deterministic fan-out for the fit hot loop.
+"""Seed spawning and pool sizing for the fit fan-out.
 
-:class:`ParallelExecutor` maps a function over an item list with a
-serial, thread-pool or process-pool backend.  Determinism is owned by
-the *caller*, not the pool: work item ``i`` carries its own
-pre-assigned RNG stream (see :func:`spawn_seed_sequences`), so the
-result list is bit-identical for any worker count and any scheduling
-order — the contract ``tests/kernels/test_parallel_fit.py`` locks in.
-
-The process backend exists for multi-core hosts; it inherits the
-dataset via fork (no per-task pickling of the data) using a pool
-initializer.  Observability note: ledger draws recorded *inside* a
-worker process never reach the parent's session, so callers that need
-budget audits record draws themselves after collecting results — as
-:meth:`repro.core.priview.PriView.generate_noisy_views` does.
+Determinism is owned by the *caller*, not the pool: work item ``i``
+carries its own pre-assigned RNG stream (see
+:func:`spawn_seed_sequences`), so the result list is bit-identical for
+any worker count and any scheduling order — the contract
+``tests/kernels/test_parallel_fit.py`` locks in.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-from repro.exceptions import ReproError
-
-#: Recognised backends; ``auto`` resolves to serial for <= 1 worker
-#: and threads otherwise (numpy kernels release the GIL).
-BACKENDS = ("auto", "serial", "thread", "process")
 
 
 def spawn_seed_sequences(root: np.random.SeedSequence | int | None, n: int):
@@ -40,11 +25,6 @@ def spawn_seed_sequences(root: np.random.SeedSequence | int | None, n: int):
     return root.spawn(n)
 
 
-def spawn_generators(root: np.random.SeedSequence | int | None, n: int):
-    """``n`` independent :class:`numpy.random.Generator` streams."""
-    return [np.random.default_rng(seq) for seq in spawn_seed_sequences(root, n)]
-
-
 def resolve_workers(workers: int | None) -> int:
     """Effective pool width: ``None``/0 → 1, negative → cpu count."""
     if workers is None or workers == 0:
@@ -52,95 +32,3 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 0:
         return max(os.cpu_count() or 1, 1)
     return int(workers)
-
-
-class ParallelExecutor:
-    """Ordered, deterministic ``map`` over a worker pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool width; ``None``, 0 or 1 run serially in the caller's
-        thread, negative means "one per CPU".
-    backend:
-        ``auto`` (default), ``serial``, ``thread`` or ``process``.
-        ``auto`` picks serial for an effective width of 1 and threads
-        otherwise.
-    initializer / initargs:
-        Forwarded to the pool (process backend: runs once per worker —
-        used to install shared read-only state post-fork).
-    """
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        backend: str = "auto",
-        initializer=None,
-        initargs=(),
-    ):
-        if backend not in BACKENDS:
-            raise ReproError(
-                f"unknown executor backend {backend!r}; choose from {BACKENDS}"
-            )
-        self.workers = resolve_workers(workers)
-        if backend == "auto":
-            backend = "serial" if self.workers <= 1 else "thread"
-        self.backend = backend
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._pool = None
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is not None:
-            return self._pool
-        if self.backend == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-fit",
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        elif self.backend == "process":
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        return self._pool
-
-    def map(self, fn, items) -> list:
-        """``[fn(item) for item in items]`` with the configured pool.
-
-        Results keep the input order regardless of completion order.
-        """
-        items = list(items)
-        if self.backend == "serial" or len(items) <= 1:
-            if self._initializer is not None:
-                self._initializer(*self._initargs)
-            return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, items))
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent; serial backend is a no-op)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def __repr__(self) -> str:
-        return f"ParallelExecutor(workers={self.workers}, backend={self.backend!r})"

@@ -1,45 +1,34 @@
-"""The parallel noisy-view fan-out used by ``PriView.fit``.
+"""The per-view noisy-marginal fan-out used by ``PriView.fit``.
 
 :func:`generate_noisy_views` extracts one marginal per design block
-from a (packed or raw) dataset and adds the per-view Laplace noise,
-fanning the blocks out over a :class:`ParallelExecutor`.
+from the fit's marginal source (see :func:`repro.kernels.as_packed`)
+and adds the per-view Laplace noise, in the caller's thread for one
+worker and over a thread pool otherwise.  The numpy kernels release
+the GIL, so threads are the only pool.
 
 Determinism contract
 --------------------
 The root seed is spawned into one independent
 ``np.random.SeedSequence`` child per view, assigned by *view index*.
-Worker count, backend and completion order therefore never change the
-released synopsis: a fit with 1, 2 or 8 workers (threads or
-processes) is bit-identical.  The streams differ from the legacy
-sequential path (one generator drawn view after view), which
-``PriView`` keeps as the default for backwards compatibility.
+Worker count and completion order therefore never change the
+released synopsis: a fit with 1, 2 or 8 workers is bit-identical.
+The streams differ from the legacy sequential path (one generator
+drawn view after view), which ``PriView`` keeps as the default for
+backwards compatibility.
 
-Budget accounting happens in the caller's process *after* the fan-out
-(one ledger record per view), so audits hold even under the process
-backend, where worker-side ``repro.obs`` calls would be invisible.
+Budget accounting happens in the caller's thread *after* the fan-out
+(one ledger record per view), in view order.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from repro import obs
-from repro.kernels.executor import (
-    ParallelExecutor,
-    resolve_workers,
-    spawn_seed_sequences,
-)
+from repro.kernels.executor import resolve_workers, spawn_seed_sequences
 from repro.marginals.table import MarginalTable
-
-# Module global installed in pool workers (process backend only; the
-# thread/serial paths close over the source directly).  Set once per
-# worker by the pool initializer, read-only afterwards.
-_WORKER_SOURCE = None
-
-
-def _install_source(source) -> None:
-    global _WORKER_SOURCE
-    _WORKER_SOURCE = source
 
 
 def _noisy_view(source, item) -> MarginalTable:
@@ -58,11 +47,6 @@ def _noisy_view(source, item) -> MarginalTable:
     return table
 
 
-def _noisy_view_global(item) -> MarginalTable:
-    """Picklable task for the process backend (source via initializer)."""
-    return _noisy_view(_WORKER_SOURCE, item)
-
-
 def generate_noisy_views(
     source,
     blocks,
@@ -70,16 +54,16 @@ def generate_noisy_views(
     sensitivity: float,
     root_seed,
     workers: int | None = None,
-    backend: str = "auto",
 ) -> list[MarginalTable]:
     """Noisy marginal per block, deterministically, in parallel.
 
     Parameters
     ----------
     source:
-        Anything exposing ``marginal(attrs) -> MarginalTable`` —
-        a :class:`~repro.marginals.dataset.BinaryDataset` or the
-        bit-sliced :class:`~repro.kernels.packed.PackedDataset`.
+        Anything exposing ``marginal(attrs) -> MarginalTable`` — a
+        :class:`~repro.kernels.packed.PackedDataset`, a
+        :class:`~repro.marginals.dataset.BinaryDataset` or a
+        :class:`~repro.categorical.dataset.CategoricalDataset`.
     blocks:
         The design's view attribute sets.
     epsilon / sensitivity:
@@ -88,33 +72,27 @@ def generate_noisy_views(
     root_seed:
         Seed material (int, ``SeedSequence`` or None) spawned into one
         child stream per view.
-    workers / backend:
-        Pool configuration, see :class:`ParallelExecutor`.
+    workers:
+        Thread-pool width; ``None``, 0 or 1 run in the caller's
+        thread, negative means "one per CPU".
     """
     blocks = list(blocks)
-    num_views = len(blocks)
     scale = 0.0 if np.isinf(epsilon) else sensitivity / epsilon
-    seqs = spawn_seed_sequences(root_seed, num_views)
+    seqs = spawn_seed_sequences(root_seed, len(blocks))
     items = [(block, scale, seq) for block, seq in zip(blocks, seqs)]
 
+    def task(item):
+        return _noisy_view(source, item)
+
     effective = resolve_workers(workers)
-    resolved = backend
-    if resolved == "auto":
-        resolved = "serial" if effective <= 1 else "thread"
-    if resolved == "process":
-        executor = ParallelExecutor(
-            workers, resolved, initializer=_install_source, initargs=(source,)
-        )
-        task = _noisy_view_global
+    obs.set_gauge("fit.workers", effective)
+    if effective <= 1 or len(items) <= 1:
+        views = [task(item) for item in items]
     else:
-        executor = ParallelExecutor(workers, resolved)
-
-        def task(item):
-            return _noisy_view(source, item)
-
-    with executor:
-        obs.set_gauge("fit.workers", executor.workers)
-        views = executor.map(task, items)
+        with ThreadPoolExecutor(
+            max_workers=effective, thread_name_prefix="repro-fit"
+        ) as pool:
+            views = list(pool.map(task, items))
 
     if scale > 0.0:
         for view in views:

@@ -143,8 +143,9 @@ class BinaryDataset:
         """This dataset as a :class:`repro.kernels.PackedDataset`.
 
         The packed form is built once and cached (the raw matrix is
-        immutable from the outside), so repeated packed fits and
-        benchmarks don't re-pack.  Its ``marginal`` is bitwise
+        immutable from the outside), so repeated fits don't re-pack —
+        every fit reads binary data through it
+        (:func:`repro.kernels.as_packed`).  Its ``marginal`` is bitwise
         identical to :meth:`marginal`, typically ~10x faster.
         """
         from repro.kernels.packed import PackedDataset

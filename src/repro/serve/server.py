@@ -108,6 +108,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if self._context is not None:
             self.send_header(
                 propagation.TRACEPARENT_HEADER, self._context.traceparent
@@ -134,15 +136,22 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, encode_error(exc, self._trace))
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            # the body's end is unknown, so the connection cannot be reused
+            self.close_connection = True
+            raise QueryError(f"invalid Content-Length {header!r}") from None
         if length <= 0:
             raise QueryError("missing request body")
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise QueryError(f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise QueryError(f"invalid JSON body: {exc}") from exc
 
     # -- routes ---------------------------------------------------------

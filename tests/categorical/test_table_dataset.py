@@ -5,6 +5,7 @@ import pytest
 
 from repro.categorical.dataset import CategoricalDataset
 from repro.exceptions import DimensionError
+from repro.kernels.packed import PackedDataset, as_packed
 from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
 
@@ -105,11 +106,15 @@ class TestDataset:
         assert np.allclose(big.project((1, 3)).counts, small.counts)
 
     def test_negative_attribute_rejected_like_packed(self, cat_dataset):
+        # the fit reads categorical data unpacked (as_packed passes it
+        # through); it must reject what the binary packed kernel rejects
+        packed = PackedDataset.from_array(
+            np.zeros((8, cat_dataset.num_attributes), np.uint8)
+        )
         for attrs in [(-1,), (0, -2)]:
-            with pytest.raises(DimensionError):
-                cat_dataset.marginal(attrs)
-            with pytest.raises(DimensionError):
-                cat_dataset.packed().marginal(attrs)
+            for source in (cat_dataset, as_packed(cat_dataset), packed):
+                with pytest.raises(DimensionError):
+                    source.marginal(attrs)
 
     def test_data_read_only(self, cat_dataset):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for the deterministic ParallelExecutor and seed spawning."""
+"""Tests for pool sizing, seed spawning and the fit's thread fan-out."""
 
 import os
 import threading
@@ -6,14 +6,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exceptions import ReproError
-from repro.kernels.executor import (
-    BACKENDS,
-    ParallelExecutor,
-    resolve_workers,
-    spawn_generators,
-    spawn_seed_sequences,
-)
+import repro.kernels.fit as fit_mod
+from repro.covering.repository import best_design
+from repro.kernels.executor import resolve_workers, spawn_seed_sequences
+from repro.kernels.fit import generate_noisy_views
+from repro.marginals.dataset import BinaryDataset
+
+
+def _generators(root, n):
+    return [np.random.default_rng(seq) for seq in spawn_seed_sequences(root, n)]
 
 
 class TestResolveWorkers:
@@ -27,13 +28,13 @@ class TestResolveWorkers:
 
 class TestSeedSpawning:
     def test_deterministic_per_index(self):
-        a = spawn_generators(123, 4)
-        b = spawn_generators(123, 4)
+        a = _generators(123, 4)
+        b = _generators(123, 4)
         for ga, gb in zip(a, b):
             assert np.array_equal(ga.random(8), gb.random(8))
 
     def test_children_independent(self):
-        gens = spawn_generators(123, 3)
+        gens = _generators(123, 3)
         draws = [g.random(8) for g in gens]
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
@@ -52,47 +53,41 @@ class TestSeedSpawning:
 
 
 class TestParallelExecutor:
-    def test_unknown_backend(self):
-        with pytest.raises(ReproError):
-            ParallelExecutor(2, backend="gpu")
+    """``generate_noisy_views`` maps in the caller's thread for one
+    worker or one view, else over a ``ThreadPoolExecutor``."""
 
-    def test_auto_resolution(self):
-        assert ParallelExecutor(1).backend == "serial"
-        assert ParallelExecutor(4).backend == "thread"
-        assert "auto" in BACKENDS
-
-    def test_serial_runs_in_caller_thread(self):
+    @pytest.fixture
+    def fit_threads(self, monkeypatch):
         seen = []
-        with ParallelExecutor(1) as pool:
-            pool.map(lambda _: seen.append(threading.current_thread()), range(3))
-        assert all(t is threading.main_thread() for t in seen)
+        real = fit_mod._noisy_view
 
-    def test_map_preserves_order(self):
-        with ParallelExecutor(4, backend="thread") as pool:
-            out = pool.map(lambda x: x * x, range(50))
-        assert out == [x * x for x in range(50)]
+        def spy(source, item):
+            seen.append(threading.current_thread())
+            return real(source, item)
 
-    def test_serial_initializer_called(self):
-        calls = []
-        pool = ParallelExecutor(1, initializer=calls.append, initargs=("hi",))
-        pool.map(lambda x: x, [1, 2])
-        assert calls == ["hi"]
+        monkeypatch.setattr(fit_mod, "_noisy_view", spy)
+        return seen
 
-    def test_thread_initializer_called(self):
-        calls = []
-        with ParallelExecutor(2, backend="thread",
-                              initializer=calls.append, initargs=("hi",)) as pool:
-            pool.map(lambda x: x, range(8))
-        assert calls and set(calls) == {"hi"}
+    @pytest.fixture
+    def dataset(self):
+        rng = np.random.default_rng(1)
+        return BinaryDataset((rng.random((200, 8)) < 0.4).astype(np.uint8))
 
-    def test_close_idempotent(self):
-        pool = ParallelExecutor(2, backend="thread")
-        pool.map(lambda x: x, range(4))
-        pool.close()
-        pool.close()
+    def test_serial_runs_in_caller_thread(self, fit_threads, dataset):
+        design = best_design(8, 4, 2)
+        generate_noisy_views(
+            dataset, design.blocks, 1.0, design.num_blocks, root_seed=5, workers=1
+        )
+        assert len(fit_threads) == design.num_blocks
+        assert all(t is threading.current_thread() for t in fit_threads)
 
-    def test_single_item_skips_pool(self):
-        pool = ParallelExecutor(4, backend="thread")
-        assert pool.map(lambda x: x + 1, [41]) == [42]
-        assert pool._pool is None
-        pool.close()
+    def test_single_item_skips_pool(self, fit_threads, dataset, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single view must not start a pool")
+
+        monkeypatch.setattr(fit_mod, "ThreadPoolExecutor", no_pool)
+        views = generate_noisy_views(
+            dataset, [(0, 1, 2)], float("inf"), 1, root_seed=5, workers=4
+        )
+        assert np.array_equal(views[0].counts, dataset.marginal((0, 1, 2)).counts)
+        assert fit_threads == [threading.current_thread()]

@@ -18,7 +18,6 @@ from repro.kernels.packed import (
     DEFAULT_CHUNK_WORDS,
     PackedDataset,
     as_packed,
-    moebius_from_subset_counts,
     pack_columns,
     popcount_words,
     unpack_columns,
@@ -90,15 +89,6 @@ class TestPopcount:
         )
 
 
-class TestMoebius:
-    def test_two_way_by_hand(self):
-        # N=10, attr0 ones=6, attr1 ones=4, both=3
-        zeta = np.array([10.0, 6.0, 4.0, 3.0])
-        counts = moebius_from_subset_counts(zeta.copy())
-        # cells [00, 10, 01, 11] under the library convention
-        assert counts.tolist() == [3.0, 3.0, 1.0, 3.0]
-
-
 class TestMarginalEquality:
     @given(
         seed=st.integers(0, 10_000),
@@ -109,7 +99,7 @@ class TestMarginalEquality:
     @settings(max_examples=40, deadline=None)
     def test_bitwise_equal_to_unpacked(self, seed, n, d, data):
         dataset = _random_dataset(seed, n, d)
-        arity = data.draw(st.integers(0, min(d, 5)))
+        arity = data.draw(st.integers(0, min(d, 12)))
         attrs = tuple(
             data.draw(
                 st.lists(
@@ -133,13 +123,23 @@ class TestMarginalEquality:
             )
 
     def test_chunked_streaming_equal(self):
-        dataset = _random_dataset(3, 5000, 8)
+        dataset = _random_dataset(3, 5000, 12)
         whole = PackedDataset.from_dataset(dataset)
         chunked = PackedDataset.from_dataset(dataset, chunk_words=3)
-        attrs = (0, 2, 3, 6, 7)
-        assert np.array_equal(
-            chunked.marginal(attrs).counts, whole.marginal(attrs).counts
-        )
+        # one transpose-histogram target, one unpack target
+        for attrs in [(0, 2, 3, 6, 7), (0, 1, 2, 3, 5, 6, 7, 9, 10, 11)]:
+            assert np.array_equal(
+                chunked.marginal(attrs).counts, whole.marginal(attrs).counts
+            )
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    def test_wide_word_boundary_sizes(self, n):
+        dataset = _random_dataset(n + 2, n, 14)
+        packed = PackedDataset.from_dataset(dataset, chunk_words=2)
+        for attrs in [tuple(range(9)), tuple(range(14))]:
+            assert np.array_equal(
+                packed.marginal(attrs).counts, dataset.marginal(attrs).counts
+            )
 
     def test_empty_attrs_is_total(self):
         dataset = _random_dataset(0, 321, 4)

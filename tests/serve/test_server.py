@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -93,6 +95,35 @@ class TestErrors:
         assert excinfo.value.code == 400
         detail = json.loads(excinfo.value.read())["error"]
         assert detail["type"] == "QueryError"
+
+        # not UTF-8 at all
+        request = urllib.request.Request(
+            f"{server.url}/v1/marginal",
+            data=b"\xff\xfe\xfa",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        detail = json.loads(excinfo.value.read())["error"]
+        assert detail["type"] == "QueryError"
+
+        # a Content-Length that is not a number (urllib always sets a
+        # valid one, so this goes through http.client)
+        parts = urllib.parse.urlsplit(server.url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/v1/marginal")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders(b'{"attrs": [0, 1]}')
+            response = conn.getresponse()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            detail = json.loads(response.read())["error"]
+            assert detail["type"] == "QueryError"
+        finally:
+            conn.close()
 
     def test_bad_attrs_400(self, client):
         for attrs in [(0, 0), (0, 99)]:
