@@ -22,7 +22,7 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.categorical.priview import CategoricalPriView
 from repro.marginals.domain import Domain
 from repro.synth import RecordSampler, Synthesizer

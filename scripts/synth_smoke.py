@@ -28,7 +28,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.categorical.priview import CategoricalPriView
 from repro.core.serialization import save_synopsis
 from repro.marginals.domain import Attribute, Domain

@@ -13,6 +13,8 @@ Quickstart
 >>> synopsis = PriView(epsilon=1.0, seed=1).fit(dataset)
 >>> table = synopsis.marginal((0, 3, 7, 11))  # private 4-way marginal
 
+One :class:`Dataset` holds binary, categorical and synthetic records
+alike (``BinaryDataset`` is its alias; a binary attribute has arity 2).
 Binary fits always count on bit-sliced popcount kernels; large fits
 can also fan their views over a deterministic thread pool
 (``docs/PERFORMANCE.md``)::
@@ -68,6 +70,7 @@ from repro.marginals import (
     AttrSet,
     Attribute,
     BinaryDataset,
+    Dataset,
     Domain,
     FullContingencyTable,
     MarginalTable,
@@ -85,6 +88,7 @@ __all__ = [
     "AttrSet",
     "Attribute",
     "BinaryDataset",
+    "Dataset",
     "Domain",
     "FullContingencyTable",
     "MarginalSource",

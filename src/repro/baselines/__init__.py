@@ -1,8 +1,10 @@
 """Every method the paper compares against (Section 3).
 
 All baselines implement a common protocol: construct with the privacy
-parameters, call :meth:`fit` with a :class:`~repro.marginals.dataset.
-BinaryDataset`, then ask for marginals with :meth:`marginal`.
+parameters, call :meth:`fit` with a :class:`~repro.marginals.dataset.Dataset`,
+then ask for marginals with :meth:`marginal`.  Direct, Uniform and
+DataCube count any attribute arity; the full-table and Fourier methods
+are binary-only and reject other data at fit.
 
 A note on lazy release: Direct, Fourier and the learning-based method
 conceptually publish a noisy table / coefficient for *every* k-way

@@ -5,15 +5,18 @@ against (no ``isinstance`` special-cases anywhere in ``repro``):
 
 * :class:`MarginalSource` — anything answering ``marginal(attrs)``:
   a fitted baseline, a :class:`~repro.core.synopsis.PriViewSynopsis`,
-  a raw :class:`~repro.marginals.dataset.BinaryDataset`, or the
-  bit-sliced :class:`~repro.kernels.PackedDataset`.
+  a raw :class:`~repro.marginals.dataset.Dataset` (binary or
+  categorical), or the bit-sliced :class:`~repro.kernels.PackedDataset`.
 * :class:`Mechanism` — a private mechanism: ``name``, ``epsilon`` and
   ``fit(dataset)`` returning a :class:`MarginalSource` (baselines
   return ``self``; ``PriView.fit`` returns the synopsis).
 
 :class:`MarginalReleaseMechanism` remains the convenience ABC the
 bundled baselines subclass; third-party mechanisms only need to
-satisfy the protocols.
+satisfy the protocols.  A mechanism that only handles binary
+attributes sets :attr:`MarginalReleaseMechanism.binary_only`, and
+``fit`` then rejects any dataset with an attribute of arity other than
+2 with a :class:`~repro.exceptions.DimensionError` naming them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from repro import obs
 from repro.exceptions import PrivacyBudgetError, ReconstructionError
 from repro.marginals.attrs import AttrSet
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset, require_binary
 from repro.marginals.table import MarginalTable
 
 
@@ -58,7 +61,7 @@ class Mechanism(Protocol):
     name: str
     epsilon: float
 
-    def fit(self, dataset: BinaryDataset): ...
+    def fit(self, dataset: Dataset): ...
 
 
 class MarginalReleaseMechanism(abc.ABC):
@@ -71,6 +74,8 @@ class MarginalReleaseMechanism(abc.ABC):
     """
 
     name: str = "mechanism"
+    #: Whether the mechanism needs every attribute to be binary.
+    binary_only: bool = False
 
     def __init__(self, epsilon: float, seed: int | None = None):
         if epsilon <= 0:
@@ -79,13 +84,15 @@ class MarginalReleaseMechanism(abc.ABC):
         self._rng = np.random.default_rng(seed)
         self._fitted = False
 
-    def fit(self, dataset: BinaryDataset) -> "MarginalReleaseMechanism":
+    def fit(self, dataset: Dataset) -> "MarginalReleaseMechanism":
         """Consume the private dataset; returns self for chaining.
 
         Under an observability session the fit is wrapped in a span and
         a (non-strict) budget scope named after the mechanism, so every
         noise draw it performs is attributed to it in ledger audits.
         """
+        if self.binary_only:
+            require_binary(dataset, self.name)
         self._num_attributes = dataset.num_attributes
         self._num_records = dataset.num_records
         scope_name = f"{self.name}.fit"
@@ -128,7 +135,7 @@ class MarginalReleaseMechanism(abc.ABC):
         return self._marginal(AttrSet(attrs, num_attributes=self._num_attributes))
 
     @abc.abstractmethod
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         """Mechanism-specific fitting."""
 
     @abc.abstractmethod

@@ -34,7 +34,7 @@ from repro.baselines.base import MarginalReleaseMechanism
 from repro.core.nonnegativity import apply_nonnegativity
 from repro.exceptions import DimensionError, ReconstructionError
 from repro.marginals.contingency import FullContingencyTable
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import laplace_variance, noisy_counts
 
@@ -78,6 +78,7 @@ class FourierMethod(MarginalReleaseMechanism):
     """
 
     name = "Fourier"
+    binary_only = True
 
     def __init__(
         self,
@@ -90,7 +91,7 @@ class FourierMethod(MarginalReleaseMechanism):
         self.k_max = int(k_max)
         self.nonnegativity = nonnegativity
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         self._dataset = dataset
         self._m = fourier_coefficient_count(dataset.num_attributes, self.k_max)
         self._cache: dict[tuple[int, ...], MarginalTable] = {}
@@ -139,12 +140,13 @@ class FourierLPMethod(MarginalReleaseMechanism):
     """
 
     name = "FourierLP"
+    binary_only = True
 
     def __init__(self, epsilon: float, k_max: int, seed: int | None = None):
         super().__init__(epsilon, seed)
         self.k_max = int(k_max)
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         d = dataset.num_attributes
         full = FullContingencyTable.from_dataset(dataset)
         theta = walsh_hadamard(full.counts)

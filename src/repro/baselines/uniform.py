@@ -7,20 +7,21 @@ about the data — the paper plots it as the floor of meaningfulness.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.base import MarginalReleaseMechanism
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import noisy_counts
 
 
 class UniformMethod(MarginalReleaseMechanism):
-    """Returns uniformly distributed marginals with the dataset's total."""
+    """Returns uniformly distributed marginals with the dataset's total,
+    laid out over the dataset's attribute arities."""
 
     name = "Uniform"
 
-    def _fit(self, dataset: BinaryDataset) -> None:
-        import numpy as np
-
+    def _fit(self, dataset: Dataset) -> None:
         # Spend the budget on the one number we use: the total count.
         self._total = float(
             noisy_counts(
@@ -28,6 +29,9 @@ class UniformMethod(MarginalReleaseMechanism):
             )[0]
         )
         self._total = max(self._total, 0.0)
+        self._arities = dataset.arities
 
     def _marginal(self, attrs: tuple[int, ...]) -> MarginalTable:
+        if any(self._arities[a] != 2 for a in attrs):
+            attrs = attrs.with_arities(self._arities[a] for a in attrs)
         return MarginalTable.uniform(attrs, self._total)

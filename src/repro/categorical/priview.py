@@ -9,10 +9,11 @@ picks views with a per-view cell budget
 (:func:`~repro.categorical.views.select_categorical_views`), and the
 fitted :class:`~repro.core.synopsis.PriViewSynopsis` has no design.
 
-The exact marginals come off :meth:`CategoricalDataset.marginal
-<repro.categorical.dataset.CategoricalDataset.marginal>`'s own
-``bincount``: categorical data is never bit-packed, because packing
-multi-valued codes costs more than it saves.  ``workers=N`` fans the
+The exact marginals come off :meth:`Dataset.marginal
+<repro.marginals.dataset.Dataset.marginal>`'s own ``bincount``:
+multi-valued data is never bit-packed, because packing multi-valued
+codes costs more than it saves (data whose arities are all 2 is packed,
+exactly as for the binary mechanism).  ``workers=N`` fans the
 views out with per-view ``SeedSequence`` child noise streams,
 bit-identical for any worker count, exactly as for the binary
 mechanism.

@@ -4,10 +4,11 @@ Three ingredients (see ``docs/PERFORMANCE.md`` for the full story):
 
 * :class:`PackedDataset` — bit-sliced binary dataset (one uint64 word
   per 64 records per attribute) whose marginal kernels are bitwise
-  identical to ``BinaryDataset.marginal`` and roughly an order of
+  identical to ``Dataset.marginal`` and roughly an order of
   magnitude faster, streaming over chunks of records.
   :func:`as_packed` picks a fit's marginal extractor from its data:
-  binary data is packed, categorical data keeps its own ``bincount``.
+  a dataset whose arities are all 2 is packed, any other keeps its
+  own ``bincount``.
 * :func:`generate_noisy_views` — fans the per-view work of
   ``PriView.fit`` out over a thread pool with per-view
   ``SeedSequence.spawn`` child streams, so the synopsis is

@@ -61,9 +61,8 @@ def generate_noisy_views(
     ----------
     source:
         Anything exposing ``marginal(attrs) -> MarginalTable`` — a
-        :class:`~repro.kernels.packed.PackedDataset`, a
-        :class:`~repro.marginals.dataset.BinaryDataset` or a
-        :class:`~repro.categorical.dataset.CategoricalDataset`.
+        :class:`~repro.kernels.packed.PackedDataset` or a
+        :class:`~repro.marginals.dataset.Dataset`.
     blocks:
         The design's view attribute sets.
     epsilon / sensitivity:

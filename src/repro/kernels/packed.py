@@ -26,12 +26,13 @@ The ℓ-way marginal over ``attrs`` has two kernels, picked by width:
 Both kernels stream over chunks of words (:data:`DEFAULT_CHUNK_WORDS`)
 so their working sets stay cache-resident at any ``N``.
 
-Only binary data is packed.  A categorical dataset keeps its own
-``bincount`` extractor, which beats bit-plane packing for multi-valued
-codes (:func:`as_packed` passes it through).
+Only binary data is packed: a :class:`~repro.marginals.dataset.Dataset`
+whose arities are all 2.  Any other dataset keeps its own ``bincount``
+extractor, which beats bit-plane packing for multi-valued codes
+(:func:`as_packed` passes it through).
 
 The result is **bitwise identical** to
-:meth:`repro.marginals.dataset.BinaryDataset.marginal` (both count
+:meth:`repro.marginals.dataset.Dataset.marginal` (both count
 exactly, in int-exact arithmetic) — property-tested in
 ``tests/kernels/test_packed.py``.
 """
@@ -43,6 +44,7 @@ import numpy as np
 from repro import obs
 from repro.exceptions import DimensionError
 from repro.marginals.attrs import AttrSet
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 
 #: Words per streaming chunk.  1024 words keeps the transpose
@@ -188,9 +190,9 @@ def unpacked_histogram(
 class PackedDataset:
     """A bit-sliced ``N x d`` binary dataset.
 
-    Drop-in for :class:`~repro.marginals.dataset.BinaryDataset` in
+    Drop-in for a binary :class:`~repro.marginals.dataset.Dataset` in
     every marginal-extraction role: exposes ``num_records``,
-    ``num_attributes``, ``marginal``, ``marginals`` and
+    ``num_attributes``, ``arities``, ``marginal``, ``marginals`` and
     ``attribute_means`` with identical (bitwise) results, at ~1/8th
     the memory and typically an order of magnitude faster extraction.
     Each attribute is one packed bit-plane; a marginal over at most 8
@@ -259,7 +261,8 @@ class PackedDataset:
         dataset,
         chunk_words: int = DEFAULT_CHUNK_WORDS,
     ) -> "PackedDataset":
-        """Pack a :class:`BinaryDataset` (values already validated)."""
+        """Pack a binary :class:`~repro.marginals.dataset.Dataset`
+        (values already validated)."""
         with obs.span("kernel.pack"):
             words = pack_columns(dataset.data)
         return cls(
@@ -288,6 +291,11 @@ class PackedDataset:
     def num_attributes(self) -> int:
         """``d``, the number of attributes."""
         return self._words.shape[0]
+
+    @property
+    def arities(self) -> tuple[int, ...]:
+        """Every attribute is binary: ``(2,) * d``."""
+        return (2,) * self.num_attributes
 
     @property
     def num_words(self) -> int:
@@ -336,7 +344,7 @@ class PackedDataset:
     def marginal(self, attrs) -> MarginalTable:
         """The exact (non-private) marginal table over ``attrs``.
 
-        Bitwise identical to ``BinaryDataset.marginal`` on the same
+        Bitwise identical to ``Dataset.marginal`` on the same binary
         records.
         """
         attrs = AttrSet(attrs, self.num_attributes)
@@ -353,18 +361,15 @@ def as_packed(dataset, chunk_words: int = DEFAULT_CHUNK_WORDS):
     This is the one place the extractor is chosen, from the data:
 
     * a :class:`PackedDataset` passes through;
-    * a :class:`~repro.marginals.dataset.BinaryDataset` returns its
-      packed form, built once and cached by its ``packed`` method;
-    * any other dataset with its own ``marginal`` — a
-      :class:`~repro.categorical.dataset.CategoricalDataset` — passes
-      through unchanged and counts with its own ``bincount``;
+    * a :class:`~repro.marginals.dataset.Dataset` whose arities are all
+      2 returns its packed form, built once and cached by its
+      ``packed`` method;
+    * any other ``Dataset`` passes through unchanged and counts with
+      its own ``bincount``;
     * a raw 0/1 array is packed.
     """
     if isinstance(dataset, PackedDataset):
         return dataset
-    packer = getattr(dataset, "packed", None)
-    if packer is not None:
-        return packer(chunk_words=chunk_words)
-    if hasattr(dataset, "marginal"):
-        return dataset
+    if isinstance(dataset, Dataset):
+        return dataset.packed(chunk_words) if dataset.is_binary else dataset
     return PackedDataset.from_array(np.asarray(dataset), chunk_words=chunk_words)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset, require_binary
 from repro.marginals.projection import projection_map
 from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
@@ -40,8 +40,9 @@ class FullContingencyTable:
         self.counts = counts
 
     @classmethod
-    def from_dataset(cls, dataset: BinaryDataset) -> "FullContingencyTable":
-        """Count every record of ``dataset`` into its cell."""
+    def from_dataset(cls, dataset: Dataset) -> "FullContingencyTable":
+        """Count every record of a binary ``dataset`` into its cell."""
+        require_binary(dataset, "a full contingency table")
         d = dataset.num_attributes
         if d > MAX_FULL_DIMENSIONS:
             raise DimensionError(

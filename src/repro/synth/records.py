@@ -1,10 +1,11 @@
 """The synthetic record population and what analysts do with it.
 
-:class:`SyntheticRecords` is an ``(N, d)`` integer code matrix plus
-the :class:`~repro.marginals.domain.Domain` that gives the codes
-meaning.  It answers the record-level questions a marginal synopsis
-cannot: arbitrary filters, per-record export to CSV/JSON-lines, joins
-into downstream tooling — all pure post-processing over an already
+:class:`SyntheticRecords` is a :class:`~repro.marginals.dataset.Dataset`
+— in PrivSyn's sense a synthetic population is just another dataset —
+whose :class:`~repro.marginals.domain.Domain` gives the codes meaning.
+It answers the record-level questions a marginal synopsis cannot:
+arbitrary filters, per-record export to CSV/JSON-lines, joins into
+downstream tooling — all pure post-processing over an already
 published artifact.
 """
 
@@ -14,64 +15,28 @@ import csv
 import json
 import os
 import pathlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import DimensionError, SynthesisError
+from repro.exceptions import SynthesisError
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Domain
-from repro.marginals.projection import strides
-from repro.marginals.table import MarginalTable
 
 
-@dataclass
-class SyntheticRecords:
-    """A synthesised population over a mixed-type domain."""
+class SyntheticRecords(Dataset):
+    """A synthesised population over a mixed-type domain.
 
-    data: np.ndarray
-    domain: Domain
-    meta: dict = field(default_factory=dict)
+    ``meta`` carries the synthesiser's telemetry (accepted-error
+    history, round and move counters).
+    """
 
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.int64)
-        if data.ndim != 2:
-            raise DimensionError(f"records must be 2-D, got {data.shape}")
-        if data.shape[1] != self.domain.num_attributes:
-            raise DimensionError(
-                f"records have {data.shape[1]} columns but the domain "
-                f"has {self.domain.num_attributes} attributes"
-            )
-        self.data = data
-
-    @property
-    def num_records(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_attributes(self) -> int:
-        return self.data.shape[1]
-
-    def __len__(self) -> int:
-        return self.num_records
-
-    def __repr__(self) -> str:
-        return (
-            f"SyntheticRecords(N={self.num_records}, "
-            f"domain={self.domain!r})"
-        )
+    def __init__(self, data, domain: Domain, meta: dict | None = None):
+        super().__init__(data, name="synthetic", domain=domain)
+        self.meta = {} if meta is None else meta
 
     # ------------------------------------------------------------------
-    # Aggregation
+    # Filters
     # ------------------------------------------------------------------
-    def marginal(self, attrs) -> MarginalTable:
-        """The population's exact marginal over ``attrs`` (indices or
-        names), carrying the domain's arities."""
-        attrs = self.domain.attr_set(attrs)
-        weights = np.array(strides(attrs.arities), dtype=np.int64)
-        idx = self.data[:, list(attrs)] @ weights
-        counts = np.bincount(idx, minlength=attrs.size).astype(np.float64)
-        return MarginalTable(attrs, counts)
-
     def count(self, **conditions) -> int:
         """Records matching every ``name=value`` condition.
 
@@ -110,36 +75,29 @@ class SyntheticRecords:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
+    def _rows(self, decode: bool):
+        """Record rows as lists of plain values, in domain order."""
+        if decode:
+            columns = self.decode()
+            return zip(*(columns[n].tolist() for n in self.domain.names))
+        return self.data.tolist()
+
     def to_csv(self, path: str | os.PathLike, decode: bool = True) -> pathlib.Path:
         """Write the population as CSV (decoded values by default)."""
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        columns = (
-            self.decode()
-            if decode
-            else {n: self.data[:, j] for j, n in enumerate(self.domain.names)}
-        )
-        names = self.domain.names
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(names)
-            writer.writerows(
-                zip(*(columns[n].tolist() for n in names))
-            )
+            writer.writerow(self.domain.names)
+            writer.writerows(self._rows(decode))
         return path
 
     def to_jsonl(self, path: str | os.PathLike, decode: bool = True) -> pathlib.Path:
         """Write the population as JSON-lines, one object per record."""
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        columns = (
-            self.decode()
-            if decode
-            else {n: self.data[:, j] for j, n in enumerate(self.domain.names)}
-        )
         names = self.domain.names
-        lists = [columns[n].tolist() for n in names]
         with open(path, "w") as handle:
-            for row in zip(*lists):
+            for row in self._rows(decode):
                 handle.write(json.dumps(dict(zip(names, row))) + "\n")
         return path

@@ -38,3 +38,15 @@ class TestUniform:
     def test_noise_free(self, tiny_dataset):
         mech = UniformMethod(float("inf"), seed=0).fit(tiny_dataset)
         assert mech.marginal((0,)).total() == pytest.approx(500.0)
+
+    def test_cells_follow_the_arities(self):
+        from repro.categorical import CategoricalDataset
+
+        mixed = CategoricalDataset.random(
+            300, (3, 4, 2, 5), rng=np.random.default_rng(0)
+        )
+        mech = UniformMethod(float("inf"), seed=0).fit(mixed)
+        for attrs, cells in [((0, 1), 12), ((1, 2, 3), 40), ((2,), 2)]:
+            table = mech.marginal(attrs)
+            assert table.counts.size == cells
+            assert table.total() == pytest.approx(300.0)

@@ -21,7 +21,8 @@ from repro.baselines import (
     MWEMMethod,
     UniformMethod,
 )
-from repro.exceptions import ReconstructionError
+from repro.categorical import CategoricalDataset
+from repro.exceptions import DimensionError, ReconstructionError
 from repro.kernels import PackedDataset
 from repro.serve import PATH_SOLVED, QueryEngine, serve_source
 
@@ -102,3 +103,45 @@ class TestServeAnyMechanism:
         assert payload["status"] == "ok"
         assert payload["design"] is None
         assert payload["num_attributes"] == tiny_dataset.num_attributes
+
+
+class TestBinaryOnlyBaselines:
+    """The full-table and Fourier baselines need binary attributes: on
+    any other data ``fit`` raises a DimensionError naming them."""
+
+    @pytest.fixture
+    def mixed(self):
+        return CategoricalDataset.random(
+            200, (3, 4, 2, 5), rng=np.random.default_rng(1)
+        )
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            FlatMethod(1.0, seed=0),
+            MWEMMethod(1.0, k=2, seed=0),
+            MatrixMechanism(1.0, k=2, seed=0),
+            FourierMethod(1.0, k_max=2, seed=0),
+            FourierLPMethod(1.0, k_max=2, seed=0),
+            LearningMethod(1.0, k=2, seed=0),
+        ],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_rejects_non_binary(self, mechanism, mixed):
+        assert mechanism.binary_only
+        with pytest.raises(DimensionError, match=r"attributes \[0, 1, 3\]"):
+            mechanism.fit(mixed)
+        assert not mechanism.fitted
+
+    def test_packed_data_is_binary(self, tiny_dataset):
+        packed = PackedDataset.from_dataset(tiny_dataset)
+        for mechanism in (FourierMethod(1.0, k_max=2, seed=0), UniformMethod(1.0)):
+            assert mechanism.fit(packed).marginal((0, 1)).counts.size == 4
+
+    def test_datacube_accepts_non_binary(self, mixed):
+        mechanism = DataCubeMethod(float("inf"), k=2, seed=0).fit(mixed)
+        table = mechanism.marginal((1, 3))
+        assert table.arities == (4, 5)
+        np.testing.assert_array_equal(
+            table.counts, mixed.marginal((1, 3)).counts
+        )

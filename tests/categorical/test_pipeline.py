@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.categorical.priview import CategoricalPriView
 from repro.categorical.views import select_categorical_views
 from repro.core.nonnegativity import ripple

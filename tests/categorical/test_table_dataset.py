@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.exceptions import DimensionError
 from repro.kernels.packed import PackedDataset, as_packed
 from repro.marginals.attrs import AttrSet

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.categorical import CategoricalDataset
 from repro.datasets.io import load_dataset, save_dataset
 from repro.datasets.loaders import (
     load_fimi_transactions,
@@ -11,6 +12,7 @@ from repro.datasets.loaders import (
 )
 from repro.exceptions import DatasetError
 from repro.marginals.dataset import BinaryDataset
+from repro.marginals.domain import Domain
 
 
 class TestFimiLoader:
@@ -78,6 +80,23 @@ class TestDatasetIO:
         ds = BinaryDataset.random(40, 13, rng=rng)
         path = save_dataset(ds, tmp_path / "odd.npz")
         assert np.array_equal(load_dataset(path).data, ds.data)
+
+    def test_round_trip_mixed_arity(self, tmp_path):
+        """Codes above 1 survive (bit-packing would flatten them to 1),
+        and the arities and domain come back."""
+        domain = Domain.from_arities((3, 4, 2, 5))
+        ds = CategoricalDataset(
+            np.array([[1, 3, 0, 4], [2, 0, 1, 0], [0, 1, 1, 3]]),
+            domain.arities, name="mixed", domain=domain,
+        )
+        again = load_dataset(save_dataset(ds, tmp_path / "mixed.npz"))
+        np.testing.assert_array_equal(again.data, ds.data)
+        assert again.arities == (3, 4, 2, 5)
+        assert again.domain == domain
+        assert again.name == "mixed"
+        np.testing.assert_array_equal(
+            again.marginal((0, 1)).counts, ds.marginal((0, 1)).counts
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.kernels.packed import as_packed
 from repro.marginals.domain import Domain
 

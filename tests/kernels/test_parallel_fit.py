@@ -112,17 +112,23 @@ class TestPriViewIntegration:
 
     def test_extractor_follows_the_data(self, dataset, design):
         """Binary fits always count on the packed kernels, categorical
-        fits never."""
+        fits never; data whose arities are all 2 is binary, whatever it
+        is called."""
         rng = np.random.default_rng(3)
         categorical = CategoricalDataset.random(500, (3, 2, 4, 2), rng=rng)
+        arity2 = CategoricalDataset(dataset.data, (2,) * dataset.num_attributes)
         with obs.session() as sess:
             PriView(1.0, design=design, seed=5).fit(dataset)
             binary_counts = sess.metrics.snapshot()["counters"]
         with obs.session() as sess:
             CategoricalPriView(1.0, seed=5).fit(categorical)
             categorical_counts = sess.metrics.snapshot()["counters"]
+        with obs.session() as sess:
+            synopsis = CategoricalPriView(1.0, max_cells=64, seed=5).fit(arity2)
+            arity2_counts = sess.metrics.snapshot()["counters"]
         assert binary_counts["kernel.packed_marginals"] == design.num_blocks
         assert "kernel.packed_marginals" not in categorical_counts
+        assert arity2_counts["kernel.packed_marginals"] == synopsis.num_views
 
     def test_fit_worker_invariance(self, dataset, design):
         reference = PriView(1.0, design=design, seed=5, workers=1).fit(dataset)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.categorical.priview import CategoricalPriView
 from repro.core.priview import PriView
 from repro.core.serialization import load_synopsis, save_synopsis

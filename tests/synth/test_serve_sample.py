@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.categorical.priview import CategoricalPriView
 from repro.cli import main as cli_main
 from repro.core.serialization import save_synopsis

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
+from repro.categorical import CategoricalDataset
 from repro.categorical.priview import CategoricalPriView
 from repro.core.priview import PriView
 from repro.exceptions import SynthesisError
