@@ -92,7 +92,30 @@ def build_parser() -> argparse.ArgumentParser:
         "noise streams; synopsis independent of N)",
     )
 
-    def telemetry_flags(p):
+    def serve_flags(p):
+        """The flags ``repro serve`` and ``repro store serve`` share."""
+        p.add_argument("--host", default=None, help="bind address")
+        p.add_argument(
+            "--port", type=int, default=None, help="bind port (0 = ephemeral)"
+        )
+        p.add_argument(
+            "--timeout", type=float, default=None,
+            help="per-request deadline in seconds (504 past it)",
+        )
+        p.add_argument(
+            "--cache-size", type=int, default=None,
+            help="per-engine answer-cache capacity (distinct marginals)",
+        )
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="per-engine thread-pool width",
+        )
+        p.add_argument(
+            "--recon-method", "--method", dest="method", default=None,
+            choices=RECONSTRUCTION_METHODS,
+            help="default reconstruction method for uncovered queries "
+            "(default: maxent; `residual` is the closed-form ReM solver)",
+        )
         p.add_argument(
             "--trace-sample-rate", type=float, default=0.0, metavar="RATE",
             help="head-sampling probability for requests without a "
@@ -108,33 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    serve_parser = telemetry_flags(sub.add_parser(
+    serve_parser = serve_flags(sub.add_parser(
         "serve", help="serve marginal queries from a saved synopsis over HTTP"
     ))
     serve_parser.add_argument(
         "--synopsis", required=True, metavar="PATH",
         help="synopsis .npz written by repro.core.serialization.save_synopsis",
-    )
-    serve_parser.add_argument("--host", default=None, help="bind address")
-    serve_parser.add_argument(
-        "--port", type=int, default=None, help="bind port (0 = ephemeral)"
-    )
-    serve_parser.add_argument(
-        "--cache-size", type=int, default=None,
-        help="answer-cache capacity (distinct marginals)",
-    )
-    serve_parser.add_argument(
-        "--workers", type=int, default=None, help="engine thread-pool width"
-    )
-    serve_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-request deadline in seconds (504 past it)",
-    )
-    serve_parser.add_argument(
-        "--recon-method", "--method", dest="method", default=None,
-        choices=RECONSTRUCTION_METHODS,
-        help="default reconstruction method for uncovered queries "
-        "(default: maxent; `residual` is the closed-form ReM solver)",
     )
     serve_parser.add_argument(
         "--log-level", choices=LEVELS, default=None,
@@ -251,17 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep the dropped objects immediately after pruning",
     )
 
-    store_serve = telemetry_flags(store_dir(store_sub.add_parser(
+    store_serve = serve_flags(store_dir(store_sub.add_parser(
         "serve", help="serve every published dataset over HTTP"
     )))
-    store_serve.add_argument("--host", default=None, help="bind address")
-    store_serve.add_argument(
-        "--port", type=int, default=None, help="bind port (0 = ephemeral)"
-    )
-    store_serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-request deadline in seconds (504 past it)",
-    )
     store_serve.add_argument(
         "--max-engines", type=int, default=None,
         help="datasets kept hot at once (LRU beyond this)",
@@ -276,20 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="minimum seconds between --watch manifest polls "
         "(0 = poll on every request; raise to bound stat() traffic "
         "at the cost of publish-visibility latency)",
-    )
-    store_serve.add_argument(
-        "--cache-size", type=int, default=None,
-        help="per-engine answer-cache capacity",
-    )
-    store_serve.add_argument(
-        "--workers", type=int, default=None,
-        help="per-engine thread-pool width",
-    )
-    store_serve.add_argument(
-        "--recon-method", "--method", dest="method", default=None,
-        choices=RECONSTRUCTION_METHODS,
-        help="default reconstruction method for uncovered queries "
-        "(default: maxent; `residual` is the closed-form ReM solver)",
     )
 
     stream_parser = sub.add_parser(
@@ -465,43 +445,44 @@ def _render_answer(payload: dict) -> str:
 
 
 def _cmd_serve(args) -> int:
-    from repro.serve import server as serve_server
-    from repro.serve.server import serve_source
+    """``repro serve`` and ``repro store serve``: build the server,
+    announce it, serve until interrupted, then shut down."""
+    from repro.serve.server import serve_source, serve_store
 
-    log = get_logger("cli")
-    engine_kwargs = {}
-    if args.cache_size is not None:
-        engine_kwargs["cache_size"] = args.cache_size
-    if args.workers is not None:
-        engine_kwargs["workers"] = args.workers
-    if args.method is not None:
-        engine_kwargs["default_method"] = args.method
-    server = serve_source(
-        args.synopsis,
-        host=args.host if args.host is not None else serve_server.DEFAULT_HOST,
-        port=args.port if args.port is not None else serve_server.DEFAULT_PORT,
-        request_timeout=(
-            args.timeout if args.timeout is not None
-            else serve_server.DEFAULT_REQUEST_TIMEOUT
-        ),
-        trace_sample_rate=args.trace_sample_rate,
-        metrics_out=args.metrics_out,
-        metrics_interval_s=args.metrics_interval,
-        **engine_kwargs,
-    )
-    stats = server.engine.stats()["synopsis"]
-    print(
-        f"serving {stats['design']} (d={stats['num_attributes']}, "
-        f"epsilon={stats['epsilon']}, views={stats['views']}) on {server.url}"
-    )
+    options = {
+        "host": args.host,
+        "port": args.port,
+        "request_timeout": args.timeout,
+        "cache_size": args.cache_size,
+        "workers": args.workers,
+        "default_method": args.method,
+        "trace_sample_rate": args.trace_sample_rate,
+        "metrics_out": args.metrics_out,
+        "metrics_interval_s": args.metrics_interval,
+    }
+    options = {name: value for name, value in options.items() if value is not None}
+    if args.command == "serve":
+        target = args.synopsis
+        server = serve_source(target, **options)
+    else:
+        target = args.store
+        server = serve_store(
+            target,
+            max_engines=args.max_engines,
+            watch=args.watch,
+            watch_interval=args.watch_interval,
+            **options,
+        )
+    health = server.router.health()
+    mode = health.pop("mode")
+    described = ", ".join(f"{key}={value}" for key, value in health.items())
+    print(f"serving {mode} {target} ({described}) on {server.url}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        log.info("interrupted; shutting down")
+        get_logger("cli").info("interrupted; shutting down")
     finally:
         server.shutdown()
-        paths = server.engine.stats()["paths"]
-        print(f"served paths: {paths}")
     return 0
 
 
@@ -629,47 +610,7 @@ def _cmd_store(args) -> int:
                 f"reclaimed {_human_bytes(report['reclaimed_bytes'])}"
             )
         return 0
-
-    # store serve
-    from repro.serve import server as serve_server
-    from repro.serve.server import serve_store
-
-    log = get_logger("cli")
-    engine_kwargs = {}
-    if args.cache_size is not None:
-        engine_kwargs["cache_size"] = args.cache_size
-    if args.workers is not None:
-        engine_kwargs["workers"] = args.workers
-    if args.method is not None:
-        engine_kwargs["default_method"] = args.method
-    server = serve_store(
-        store,
-        host=args.host if args.host is not None else serve_server.DEFAULT_HOST,
-        port=args.port if args.port is not None else serve_server.DEFAULT_PORT,
-        request_timeout=(
-            args.timeout if args.timeout is not None
-            else serve_server.DEFAULT_REQUEST_TIMEOUT
-        ),
-        max_engines=args.max_engines,
-        watch=args.watch,
-        watch_interval=args.watch_interval,
-        trace_sample_rate=args.trace_sample_rate,
-        metrics_out=args.metrics_out,
-        metrics_interval_s=args.metrics_interval,
-        **engine_kwargs,
-    )
-    stats = store.stats()
-    print(
-        f"serving store {stats['root']} ({stats['datasets']} dataset(s), "
-        f"{stats['entries']} version(s)) on {server.url}"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        log.info("interrupted; shutting down")
-    finally:
-        server.shutdown()
-    return 0
+    raise AssertionError(f"unhandled store command {args.store_command!r}")
 
 
 def _cmd_stream(args) -> int:
@@ -855,7 +796,9 @@ def main(argv=None) -> int:
         return 0
 
     configure_logging(args.log_level)
-    if args.command == "serve":
+    if args.command == "serve" or (
+        args.command == "store" and args.store_command == "serve"
+    ):
         return _cmd_serve(args)
     if args.command == "query":
         return _cmd_query(args)

@@ -53,6 +53,10 @@ class StoreError(ReproError):
     lock timeout, ...)."""
 
 
+class UnknownEntryError(StoreError):
+    """A store spec names a dataset or version that is not published."""
+
+
 class LedgerError(ReproError):
     """A privacy-budget ledger audit failed or the ledger was misused."""
 
@@ -64,6 +68,11 @@ class SynthesisError(ReproError):
 
 class QueryError(ReproError):
     """A served marginal query was malformed or unanswerable."""
+
+
+class NotFoundError(QueryError):
+    """A served request names a route, dataset or version the server
+    does not host (HTTP 404)."""
 
 
 class QueryTimeoutError(QueryError):

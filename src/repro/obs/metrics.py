@@ -3,14 +3,11 @@
 Counters accumulate (ripple passes, IPF sweeps, cells clipped);
 gauges hold the last observed value (design size ``w``, final
 residuals); observations summarise a stream of values (per-request
-latencies in the serving layer).  Every observation stream keeps two
-representations:
-
-* a **summary** — count/sum/min/max/mean, the cheap aggregate the
-  original ``observe()`` API exposed (kept for backward compat);
-* a **histogram** — fixed log-spaced buckets (:class:`Histogram`)
-  from which p50/p90/p95/p99 are estimated and which merge exactly
-  across label sets, threads and processes (bucket counts add).
+latencies in the serving layer).  Every observation stream is one
+**histogram** — fixed log-spaced buckets (:class:`Histogram`) plus the
+exact count/sum/min/max — from which the count/sum/min/max/mean
+summary is read and p50/p90/p95/p99 are estimated; histograms merge
+exactly across label sets, threads and processes (bucket counts add).
 
 Observations may carry **labels** (``{"path": "solved", "dataset":
 "adult"}``); each distinct label set is its own series, and lookups
@@ -202,8 +199,6 @@ class MetricsRegistry:
         self._buckets = tuple(buckets)
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        #: (name, labels) -> running summary dict
-        self._observations: dict[tuple[str, tuple], dict] = {}
         #: (name, labels) -> Histogram
         self._histograms: dict[tuple[str, tuple], Histogram] = {}
 
@@ -240,7 +235,7 @@ class MetricsRegistry:
             return self._gauges.get(name)
 
     def observe(self, name: str, value: float, labels=None) -> None:
-        """Fold ``value`` into the summary *and* histogram for ``name``.
+        """Fold ``value`` into the histogram for ``name``.
 
         ``labels`` (dict, or a pre-sorted tuple of pairs for hot
         paths) selects the series; omitted means the unlabeled series.
@@ -248,19 +243,10 @@ class MetricsRegistry:
         value = float(value)
         key = (name, _normalize_labels(labels))
         with self._lock:
-            rec = self._observations.get(key)
-            if rec is None:
-                rec = self._observations[key] = {
-                    "count": 0, "sum": 0.0, "min": value, "max": value,
-                }
-                self._histograms[key] = Histogram(self._buckets)
-            rec["count"] += 1
-            rec["sum"] += value
-            if value < rec["min"]:
-                rec["min"] = value
-            if value > rec["max"]:
-                rec["max"] = value
-            self._histograms[key].record(value)
+            hist = self._histograms.get(key)
+            if hist is None:
+                hist = self._histograms[key] = Histogram(self._buckets)
+            hist.record(value)
 
     # ------------------------------------------------------------------
     def _matching(self, name: str, labels) -> list[tuple[str, tuple]]:
@@ -268,10 +254,10 @@ class MetricsRegistry:
         if labels is not None:
             wanted = _normalize_labels(labels)
             return [
-                key for key in self._observations
+                key for key in self._histograms
                 if key[0] == name and set(wanted) <= set(key[1])
             ]
-        return [key for key in self._observations if key[0] == name]
+        return [key for key in self._histograms if key[0] == name]
 
     def observation(self, name: str, labels=None) -> dict | None:
         """Summary for ``name`` incl. ``mean`` (None if never seen).
@@ -281,19 +267,8 @@ class MetricsRegistry:
         With ``labels`` only series carrying *at least* those labels
         contribute.
         """
-        with self._lock:
-            keys = self._matching(name, labels)
-            if not keys:
-                return None
-            out = {"count": 0, "sum": 0.0, "min": math.inf, "max": -math.inf}
-            for key in keys:
-                rec = self._observations[key]
-                out["count"] += rec["count"]
-                out["sum"] += rec["sum"]
-                out["min"] = min(out["min"], rec["min"])
-                out["max"] = max(out["max"], rec["max"])
-            out["mean"] = out["sum"] / out["count"]
-            return out
+        hist = self.histogram(name, labels)
+        return None if hist is None else _summary(hist)
 
     def histogram(self, name: str, labels=None) -> Histogram | None:
         """A merged *copy* of the histogram(s) for ``name``.
@@ -318,14 +293,14 @@ class MetricsRegistry:
         """
         with self._lock:
             out = []
-            for key in sorted(self._observations):
+            for key in sorted(self._histograms):
                 name, labels = key
-                rec = self._observations[key]
+                hist = self._histograms[key]
                 out.append({
                     "name": name,
                     "labels": dict(labels),
-                    "summary": {**rec, "mean": rec["sum"] / rec["count"]},
-                    "histogram": self._histograms[key].copy(),
+                    "summary": _summary(hist),
+                    "histogram": hist.copy(),
                 })
             return out
 
@@ -342,15 +317,15 @@ class MetricsRegistry:
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
             }
-            if self._observations:
+            if self._histograms:
                 observations = {}
                 histograms = {}
-                for key in sorted(self._observations):
+                for key in sorted(self._histograms):
                     name, labels = key
                     rendered = render_series(name, labels)
-                    rec = self._observations[key]
-                    entry = {**rec, "mean": rec["sum"] / rec["count"]}
-                    hist_entry = self._histograms[key].to_dict()
+                    hist = self._histograms[key]
+                    entry = _summary(hist)
+                    hist_entry = hist.to_dict()
                     if labels:
                         meta = {"metric": name, "labels": dict(labels)}
                         entry.update(meta)
@@ -360,3 +335,14 @@ class MetricsRegistry:
                 out["observations"] = observations
                 out["histograms"] = histograms
             return out
+
+
+def _summary(hist: Histogram) -> dict:
+    """count/sum/min/max/mean of a non-empty histogram."""
+    return {
+        "count": hist.count,
+        "sum": hist.sum,
+        "min": hist.min,
+        "max": hist.max,
+        "mean": hist.sum / hist.count,
+    }

@@ -13,15 +13,21 @@ artifact into a query-serving engine (see ``docs/SERVING.md``):
   protocol over HTTP (``POST /v1/marginal``, ``POST /v1/batch``,
   ``GET /healthz``, ``GET /stats``).
 
+A server is one front end over one router: a :class:`SourceRouter`
+hosts a single engine (``serve_source``, ``repro serve``, or
+``MarginalServer(engine)``), an :class:`EngineRouter` a whole store
+(``serve_store``, ``repro store serve``); both answer through the
+same handler path.
+
 The engine hosts *any* :class:`~repro.baselines.base.MarginalSource`
 — a synopsis gets full covered/derived/solved planning; a fitted
 baseline mechanism answers misses through its own ``marginal`` while
 keeping the cache, batching and stats.
 
-A whole :class:`~repro.store.SynopsisStore` is hosted by one server
-through :class:`EngineRouter` — per-dataset engines built lazily with
-LRU eviction, ``POST /v1/d/{name}/marginal``, and zero-drop hot swap
-of newly published versions (``docs/STORE.md``).
+Through :class:`EngineRouter` a whole
+:class:`~repro.store.SynopsisStore` gets per-dataset engines built
+lazily with LRU eviction, ``POST /v1/d/{name}/marginal``, and
+zero-drop hot swap of newly published versions (``docs/STORE.md``).
 
 Quick tour::
 
@@ -45,7 +51,7 @@ from repro.serve.engine import (
     QueryAnswer,
     QueryEngine,
 )
-from repro.serve.multiplex import DEFAULT_MAX_ENGINES, EngineRouter
+from repro.serve.multiplex import DEFAULT_MAX_ENGINES, EngineRouter, SourceRouter
 from repro.serve.planner import (
     PATH_COVERED,
     PATH_DERIVED,
@@ -84,6 +90,7 @@ __all__ = [
     "QueryPlan",
     "QueryPlanner",
     "SingleFlightLRU",
+    "SourceRouter",
     "serve_source",
     "serve_store",
 ]

@@ -252,11 +252,6 @@ class QueryEngine:
             if callable(attach_engine):
                 attach_engine(self)
 
-    @property
-    def synopsis(self):
-        """The hosted source (kept for backwards compatibility)."""
-        return self.source
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Routing one server across a whole synopsis store.
+"""Routing: which engine answers a served request.
+
+A :class:`~repro.serve.server.MarginalServer` talks only to its
+router: ``lease(name)``, ``lease_default()``, ``windows(name)``,
+``health()``, ``stats()``, ``datasets()``, ``reload()`` and
+``close()``.  :class:`SourceRouter` hosts one in-memory engine;
+:class:`EngineRouter` hosts a whole store.
 
 :class:`EngineRouter` maps dataset names to per-entry
 :class:`~repro.serve.engine.QueryEngine` instances backed by a
@@ -26,10 +32,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from time import monotonic, time
 
 from repro import obs
-from repro.exceptions import QueryError, StoreError
+from repro.exceptions import (
+    NotFoundError,
+    QueryError,
+    StoreError,
+    UnknownEntryError,
+)
 from repro.obs.log import get_logger
 from repro.serve.engine import QueryEngine
 
@@ -119,10 +131,13 @@ class EngineRouter:
     # Leasing
     # ------------------------------------------------------------------
     def lease(self, name: str) -> _Lease:
-        """Pin (building if needed) the engine for ``name``.
+        """Pin (building if needed) the engine for ``name`` (a store
+        spec: ``name``, ``name@latest`` or ``name@N``).
 
-        Raises :class:`~repro.exceptions.QueryError` for datasets the
-        store does not know, so the server can answer 404.
+        Raises :class:`~repro.exceptions.NotFoundError` (HTTP 404) for
+        a dataset or version the store does not publish, and
+        :class:`~repro.exceptions.QueryError` (400) for a malformed
+        spec.
         """
         if self.watch:
             self._watch_poll()
@@ -165,6 +180,8 @@ class EngineRouter:
     def _build(self, name: str) -> _Hosted:
         try:
             info = self.store.resolve(name)
+        except UnknownEntryError as exc:
+            raise NotFoundError(str(exc)) from exc
         except StoreError as exc:
             raise QueryError(str(exc)) from exc
         synopsis = self.store.load_version(info)
@@ -336,10 +353,30 @@ class EngineRouter:
             "last_swap": last_swap,
         }
 
-    def engine_stats(self, name: str) -> dict:
-        """The per-engine ``/stats`` payload for one hosted dataset."""
-        with self.lease(name) as engine:
-            return engine.stats()
+    def lease_default(self):
+        """A store has no default dataset: always raises."""
+        raise QueryError(
+            "this server hosts a synopsis store; query "
+            "per-dataset paths /v1/d/{name}/marginal, "
+            "/v1/d/{name}/batch or /v1/d/{name}/sample "
+            "(GET /v1/datasets lists them)"
+        )
+
+    def windows(self, name: str) -> list[dict]:
+        """The stream windows released for ``name`` (empty if none)."""
+        from repro.stream.query import list_windows
+
+        return list_windows(self.store, name)
+
+    def health(self) -> dict:
+        """The router's part of the ``/healthz`` payload."""
+        stats = self.stats()
+        return {
+            "mode": "store",
+            "datasets": stats["store"]["datasets"],
+            "entries": stats["store"]["entries"],
+            "hosted": len(stats["hosted"]),
+        }
 
     def close(self) -> None:
         """Retire and close every engine (idempotent)."""
@@ -361,3 +398,61 @@ class EngineRouter:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+
+class SourceRouter:
+    """One in-memory :class:`QueryEngine` behind the router interface.
+
+    A single-source server is a one-dataset router: the default lease
+    pins the hosted engine, and the routes that need a store (named
+    datasets, window listings, reload and the dataset listing) raise
+    the single-source error.  :meth:`close` closes the engine.
+    """
+
+    def __init__(self, engine: QueryEngine):
+        self.engine = engine
+
+    def lease_default(self) -> nullcontext:
+        return nullcontext(self.engine)
+
+    def lease(self, name: str):
+        raise QueryError(
+            "this server hosts a single source; query /v1/marginal "
+            "or /v1/batch instead of per-dataset paths"
+        )
+
+    def windows(self, name: str) -> list[dict]:
+        raise QueryError(
+            "this server hosts a single source; window listings "
+            "need a store-backed server (repro store serve)"
+        )
+
+    def reload(self) -> dict:
+        raise QueryError(
+            "this server hosts a single source; /v1/reload "
+            "needs a store-backed server (repro store serve)"
+        )
+
+    def datasets(self) -> list[dict]:
+        raise NotFoundError(
+            "this server hosts a single source; /v1/datasets "
+            "needs a store-backed server (repro store serve)"
+        )
+
+    def health(self) -> dict:
+        """The router's part of the ``/healthz`` payload."""
+        source = self.engine.source
+        design = getattr(source, "design", None)
+        return {
+            "mode": "single",
+            "design": getattr(design, "notation", None),
+            "epsilon": getattr(source, "epsilon", None),
+            "num_attributes": source.num_attributes,
+            "views": len(getattr(source, "views", ()) or ()),
+        }
+
+    def stats(self) -> dict:
+        return self.engine.stats()
+
+    def close(self) -> None:
+        self.engine.close()

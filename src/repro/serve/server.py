@@ -1,39 +1,39 @@
-"""Stdlib HTTP server exposing a :class:`QueryEngine` — or a fleet of
-them backed by a :class:`~repro.store.SynopsisStore`.
+"""Stdlib HTTP server: one front end over one router.
 
-Single-source endpoints (JSON protocol in :mod:`repro.serve.protocol`):
+A :class:`MarginalServer` fronts one router
+(:mod:`repro.serve.multiplex`) — a :class:`~repro.serve.multiplex
+.SourceRouter` over a single engine (``repro serve``) or an
+:class:`~repro.serve.multiplex.EngineRouter` over a whole
+:class:`~repro.store.SynopsisStore` (``repro store serve``, see
+``docs/STORE.md``) — and every route goes through it.  A route the
+router cannot serve raises its error: per-dataset paths on a single
+source, the default-dataset paths on a store.
 
-* ``POST /v1/marginal`` — answer one marginal query;
-* ``POST /v1/batch``    — answer a de-duplicated workload;
-* ``POST /v1/sample``   — draw synthetic records (post-processing of
-  the published views: zero additional privacy budget);
-* ``GET  /healthz``     — liveness + synopsis identity;
-* ``GET  /stats``       — planner-path / cache statistics.
+Query endpoints (JSON protocol in :mod:`repro.serve.protocol`); each
+resolves to a lease on one engine plus an action, dispatched through
+one path:
 
-Store-backed (multi-dataset) endpoints, when constructed with
-``store=`` / ``router=`` (see ``docs/STORE.md``):
+* ``POST /v1/marginal``, ``/v1/batch``, ``/v1/sample`` — one marginal,
+  a de-duplicated workload, or synthetic records (post-processing of
+  the published views: zero additional privacy budget) from the
+  default dataset;
+* ``POST /v1/d/{name}/marginal``, ``/batch``, ``/sample``, ``/stats``
+  — the same from the named dataset (``name``, ``name@latest`` or
+  ``name@N``);
+* ``POST /v1/d/{name}/windows/marginal`` — one answer per selected
+  stream window plus their record-weighted union
+  (``docs/STREAMING.md``).
 
-* ``POST /v1/d/{name}/marginal``, ``POST /v1/d/{name}/batch`` and
-  ``POST /v1/d/{name}/sample`` — the same protocol, routed to the
-  named dataset's engine (built lazily, LRU-evicted, 404 for
-  unknown names);
-* ``GET  /v1/datasets`` — every published dataset and what's serving;
-* ``POST /v1/reload``   — re-resolve against the store and hot-swap
-  newly published versions with zero dropped in-flight requests;
-* ``GET  /stats``       — router + store statistics;
-* ``GET  /v1/d/{name}/windows`` — stream windows released for the
-  dataset (version, bounds, record count, epsilon);
-* ``POST /v1/d/{name}/windows/marginal`` — time-sliced marginals:
-  one answer per selected window (``last``/``windows`` in the body)
-  plus their record-weighted union (see ``docs/STREAMING.md``).
+Other endpoints: ``GET /healthz`` (liveness, ``mode`` and what is
+served), ``GET /stats`` (the router's statistics plus a server
+block), ``GET /v1/datasets``, ``GET /v1/d/{name}/windows`` and
+``POST /v1/reload`` (store only: listings and a zero-drop hot swap),
+and ``GET /metrics`` (Prometheus text exposition of the active
+metrics registry).  Errors are structured JSON: ``404`` for a
+:class:`~repro.exceptions.NotFoundError`, ``504`` for a missed
+deadline, ``400`` for any other library error.
 
-Telemetry endpoints (any mode):
-
-* ``GET /metrics`` — Prometheus text exposition of the active
-  metrics registry (request/path latency histograms labeled by
-  dataset and planner path, counters, gauges);
-
-every request gets a trace context — adopted from an incoming
+Every request gets a trace context — adopted from an incoming
 ``traceparent`` header or head-sampled at ``trace_sample_rate`` —
 that is installed around the engine call (so spans and hit-side
 cache timings tag themselves with it), echoed in the JSON body under
@@ -43,8 +43,8 @@ headers, and recorded in a bounded in-process access log
 
 Built on :class:`http.server.ThreadingHTTPServer` (one thread per
 connection, daemonised), with per-request deadlines enforced through
-the engine (``504`` on miss), structured JSON error bodies, and
-graceful shutdown that drains the engine pool(s).
+the engine, and graceful shutdown that closes the router and so
+drains its engine pool(s).
 """
 
 from __future__ import annotations
@@ -57,13 +57,23 @@ from time import monotonic, perf_counter
 from urllib.parse import unquote
 
 from repro import obs
-from repro.exceptions import QueryError, QueryTimeoutError, ReproError
+from repro.exceptions import (
+    NotFoundError,
+    QueryError,
+    QueryTimeoutError,
+    ReproError,
+)
 from repro.obs import propagation
 from repro.obs.exporters import MetricsSnapshotWriter
 from repro.obs.log import get_logger
 from repro.obs.prometheus import render_prometheus
 from repro.obs.session import ObsSession
 from repro.serve.engine import QueryEngine
+from repro.serve.multiplex import (
+    DEFAULT_MAX_ENGINES,
+    EngineRouter,
+    SourceRouter,
+)
 from repro.serve.protocol import (
     encode_answer,
     encode_error,
@@ -93,10 +103,6 @@ class _Handler(BaseHTTPRequestHandler):
     _status: int | None = None
 
     # -- plumbing -------------------------------------------------------
-    @property
-    def engine(self) -> QueryEngine | None:
-        return self.server.engine
-
     @property
     def router(self):
         return self.server.router
@@ -191,9 +197,11 @@ class _Handler(BaseHTTPRequestHandler):
                 route()
         except QueryTimeoutError as exc:
             self._send_error(504, exc)
+        except NotFoundError as exc:
+            self._send_error(404, exc)
         except ReproError as exc:
             # malformed attrs, unknown method, unanswerable query, ...
-            self._send_error(400 if not _is_not_found(exc) else 404, exc)
+            self._send_error(400, exc)
         except Exception as exc:  # pragma: no cover - defensive
             log.exception("internal error serving %s", self.path)
             self._send_error(500, exc)
@@ -224,32 +232,22 @@ class _Handler(BaseHTTPRequestHandler):
                 "text/plain; version=0.0.4; charset=utf-8",
             )
         elif self.path == "/stats":
-            if self.router is not None:
-                payload = self.router.stats()
-            else:
-                payload = self.engine.stats()
+            payload = self.router.stats()
             payload["server"] = self.server.server_payload()
             self._send_json(200, payload)
-        elif self.path == "/v1/datasets" and self.router is not None:
+        elif self.path == "/v1/datasets":
             self._send_json(200, {"datasets": self.router.datasets()})
         elif (
             (routed := self._split_dataset_path(self.path)) is not None
             and routed[1] == "windows"
         ):
-            if self.router is None:
-                raise QueryError(
-                    "this server hosts a single source; window listings "
-                    "need a store-backed server (repro store serve)"
-                )
-            from repro.stream.query import list_windows
-
             name = routed[0]
             self._send_json(200, {
                 "dataset": name,
-                "windows": list_windows(self.router.store, name),
+                "windows": self.router.windows(name),
             })
         else:
-            self._send_error(404, QueryError(f"unknown path {self.path!r}"))
+            raise NotFoundError(f"unknown path {self.path!r}")
 
     @staticmethod
     def _split_dataset_path(path: str) -> tuple[str, str] | None:
@@ -269,47 +267,32 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return unquote(name), action
 
+    def _query_route(self) -> tuple[str | None, str]:
+        """``/v1/batch`` → ``(None, "batch")`` (the default dataset);
+        ``/v1/d/{name}/batch`` → ``(name, "batch")``."""
+        if self.path in ("/v1/marginal", "/v1/batch", "/v1/sample"):
+            return None, self.path[len("/v1/"):]
+        routed = self._split_dataset_path(self.path)
+        if routed is None or routed[1] == "windows":
+            raise NotFoundError(f"unknown path {self.path!r}")
+        return routed
+
     def _route_post(self) -> None:
         if self.path == "/v1/reload":
-            if self.router is None:
-                raise QueryError(
-                    "this server hosts a single source; /v1/reload "
-                    "needs a store-backed server (repro store serve)"
-                )
             self._send_json(200, self.router.reload())
             return
-        routed = self._split_dataset_path(self.path)
-        if routed is not None:
-            self._dispatch_dataset(*routed)
-            return
-        if self.path in ("/v1/marginal", "/v1/batch", "/v1/sample"):
-            if self.engine is None:
-                raise QueryError(
-                    "this server hosts a synopsis store; query "
-                    "per-dataset paths /v1/d/{name}/marginal, "
-                    "/v1/d/{name}/batch or /v1/d/{name}/sample "
-                    "(GET /v1/datasets lists them)"
-                )
-            self._dispatch(self.engine, self.path.rsplit("/", 1)[1])
-            return
-        self._send_error(404, QueryError(f"unknown path {self.path!r}"))
-
-    def _dispatch_dataset(self, name: str, action: str) -> None:
-        if self.router is None:
-            raise QueryError(
-                "this server hosts a single source; query /v1/marginal "
-                "or /v1/batch instead of per-dataset paths"
-            )
+        name, action = self._query_route()
         if action == "windows/marginal":
             self._dispatch_windows(name)
             return
-        # Per-dataset request counting happens in the engine (which
-        # knows its dataset label even for single-source servers).
-        with self.router.lease(name) as engine:
-            if action == "stats":
-                self._send_json(200, engine.stats())
-            else:
-                self._dispatch(engine, action)
+        lease = (
+            self.router.lease_default() if name is None
+            else self.router.lease(name)
+        )
+        # Per-dataset request counting happens in the engine, which
+        # knows its dataset label on either router.
+        with lease as engine:
+            self._dispatch(engine, action)
 
     def _dispatch_windows(self, name: str) -> None:
         """``POST /v1/d/{name}/windows/marginal`` — time-sliced query.
@@ -336,6 +319,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, answer.to_json())
 
     def _dispatch(self, engine: QueryEngine, action: str) -> None:
+        if action == "stats":
+            self._send_json(200, engine.stats())
+            return
         timeout = self.server.request_timeout
         body = self._read_json()
         if action == "marginal":
@@ -356,22 +342,16 @@ class _Handler(BaseHTTPRequestHandler):
             })
 
 
-def _is_not_found(exc: ReproError) -> bool:
-    """Unknown-dataset errors surface as 404, not 400."""
-    return isinstance(exc, QueryError) and "unknown dataset" in str(exc)
-
-
 class MarginalServer:
-    """The serving endpoint: engine(s) + ThreadingHTTPServer lifecycle.
+    """The serving endpoint: one router + ThreadingHTTPServer lifecycle.
 
-    Construct with exactly one of:
-
-    * ``engine=`` — host a single marginal source (the original mode);
-    * ``store=``  — a :class:`~repro.store.SynopsisStore` (or its root
-      path): every published dataset is served under
-      ``/v1/d/{name}/...`` through a lazily built, hot-swappable
-      :class:`~repro.serve.multiplex.EngineRouter`;
-    * ``router=`` — a pre-configured router.
+    ``router`` is a :class:`~repro.serve.multiplex.SourceRouter` or an
+    :class:`~repro.serve.multiplex.EngineRouter`; a bare
+    :class:`QueryEngine` is wrapped in a ``SourceRouter``, so
+    ``MarginalServer(engine, port=0)`` serves one source.  The server
+    owns the router: :meth:`shutdown` closes it (and its engines).
+    :func:`serve_source` and :func:`serve_store` build both from a
+    synopsis or a store.
 
     Use as a context manager, or call :meth:`start` /
     :meth:`serve_forever` and :meth:`shutdown` explicitly.  Pass
@@ -397,35 +377,18 @@ class MarginalServer:
 
     def __init__(
         self,
-        engine: QueryEngine | None = None,
+        router,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        own_engine: bool = True,
-        store=None,
-        router=None,
         trace_sample_rate: float = 0.0,
         access_log_size: int = 256,
         metrics_out=None,
         metrics_interval_s: float = 10.0,
-        **router_kwargs,
     ):
-        if sum(x is not None for x in (engine, store, router)) != 1:
-            raise QueryError(
-                "MarginalServer needs exactly one of engine=, store= "
-                "or router="
-            )
-        if store is not None:
-            from repro.serve.multiplex import EngineRouter
-
-            router = EngineRouter(store, **router_kwargs)
-        elif router_kwargs:
-            raise QueryError(
-                f"unexpected arguments {sorted(router_kwargs)} without store="
-            )
-        self.engine = engine
+        if isinstance(router, QueryEngine):
+            router = SourceRouter(router)
         self.router = router
-        self._own_engine = own_engine
         self.trace_sample_rate = float(trace_sample_rate)
         self._access: deque = deque(maxlen=int(access_log_size))
         self._access_lock = threading.Lock()
@@ -436,7 +399,6 @@ class MarginalServer:
         self._obs_previous: ObsSession | None = None
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
-        self._httpd.engine = engine
         self._httpd.router = router
         self._httpd.request_timeout = request_timeout
         self._httpd.trace_sample_rate = self.trace_sample_rate
@@ -458,25 +420,9 @@ class MarginalServer:
         return f"http://{host}:{port}"
 
     def _health_payload(self) -> dict:
-        if self.router is not None:
-            stats = self.router.stats()
-            return {
-                "status": "ok",
-                "mode": "store",
-                "datasets": stats["store"]["datasets"],
-                "entries": stats["store"]["entries"],
-                "hosted": len(stats["hosted"]),
-                "uptime_s": monotonic() - self._started_at,
-            }
-        source = self.engine.source
-        design = getattr(source, "design", None)
         return {
             "status": "ok",
-            "mode": "single",
-            "design": getattr(design, "notation", None),
-            "epsilon": getattr(source, "epsilon", None),
-            "num_attributes": source.num_attributes,
-            "views": len(getattr(source, "views", ()) or ()),
+            **self.router.health(),
             "uptime_s": monotonic() - self._started_at,
         }
 
@@ -550,10 +496,7 @@ class MarginalServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        if self.router is not None:
-            self.router.close()
-        if self.engine is not None and self._own_engine:
-            self.engine.close()
+        self.router.close()
         self._telemetry_down()
 
     def __enter__(self) -> "MarginalServer":
@@ -574,23 +517,25 @@ def serve_source(
     metrics_interval_s: float = 10.0,
     **engine_kwargs,
 ) -> MarginalServer:
-    """Build an engine for any marginal source and wrap it in an
-    unstarted :class:`MarginalServer`.
+    """Serve one marginal source: an unstarted :class:`MarginalServer`
+    over a :class:`~repro.serve.multiplex.SourceRouter`.
 
     ``source_or_path`` is anything satisfying
     :class:`~repro.baselines.base.MarginalSource` (a synopsis, a
     fitted baseline mechanism, ...) or a path to a saved synopsis
     ``.npz``, loaded via
     :func:`~repro.core.serialization.load_synopsis`.
+    ``engine_kwargs`` go to :class:`QueryEngine` (``cache_size``,
+    ``workers``, ``default_method``, ...).  The engine attaches to the
+    source, so the source's own ``marginal`` calls route through it.
     """
     from repro.core.serialization import load_synopsis
 
     source = source_or_path
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         source = load_synopsis(source)
-    engine = QueryEngine(source, attach=True, **engine_kwargs)
     return MarginalServer(
-        engine,
+        SourceRouter(QueryEngine(source, attach=True, **engine_kwargs)),
         host=host,
         port=port,
         request_timeout=request_timeout,
@@ -607,29 +552,33 @@ def serve_store(
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     max_engines: int | None = None,
     watch: bool = False,
+    watch_interval: float = 0.0,
     trace_sample_rate: float = 0.0,
     metrics_out=None,
     metrics_interval_s: float = 10.0,
     **engine_kwargs,
 ) -> MarginalServer:
-    """Serve every dataset of a synopsis store from one process.
+    """Serve every dataset of a synopsis store from one process: an
+    unstarted :class:`MarginalServer` over an
+    :class:`~repro.serve.multiplex.EngineRouter`.
 
     ``store_or_path`` is a :class:`~repro.store.SynopsisStore` or its
-    root directory.  Engines are built per dataset on first request
-    and hot-swapped on ``POST /v1/reload`` (or automatically with
-    ``watch=True``, which polls the manifest mtime).  Returns an
-    unstarted :class:`MarginalServer`.
+    root directory; ``max_engines=None`` keeps the default number of
+    datasets hot.  ``engine_kwargs`` go to each dataset's
+    :class:`QueryEngine`.  Engines are built per dataset on first
+    request and hot-swapped on ``POST /v1/reload`` (or automatically
+    with ``watch=True``, which polls the manifest mtime at most every
+    ``watch_interval`` seconds).
     """
-    from repro.serve.multiplex import DEFAULT_MAX_ENGINES, EngineRouter
-
     router = EngineRouter(
         store_or_path,
-        max_engines=max_engines if max_engines is not None else DEFAULT_MAX_ENGINES,
+        max_engines=DEFAULT_MAX_ENGINES if max_engines is None else max_engines,
         watch=watch,
+        watch_interval=watch_interval,
         **engine_kwargs,
     )
     return MarginalServer(
-        router=router,
+        router,
         host=host,
         port=port,
         request_timeout=request_timeout,
@@ -637,4 +586,3 @@ def serve_store(
         metrics_out=metrics_out,
         metrics_interval_s=metrics_interval_s,
     )
-

@@ -31,7 +31,7 @@ import os
 import pathlib
 from dataclasses import dataclass, field
 
-from repro.exceptions import StoreError
+from repro.exceptions import StoreError, UnknownEntryError
 from repro.store.artifacts import atomic_write_bytes
 
 MANIFEST_VERSION = 1
@@ -130,7 +130,7 @@ class DatasetEntry:
         for info in self.versions:
             if info.version == version:
                 return info
-        raise StoreError(
+        raise UnknownEntryError(
             f"dataset {self.name!r} has no version {version} "
             f"(available: {[v.version for v in self.versions]})"
         )
@@ -167,7 +167,7 @@ class Manifest:
         try:
             return self.datasets[name]
         except KeyError:
-            raise StoreError(
+            raise UnknownEntryError(
                 f"unknown dataset {name!r} "
                 f"(published: {sorted(self.datasets) or 'none'})"
             ) from None

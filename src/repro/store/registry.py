@@ -133,7 +133,12 @@ class SynopsisStore:
         return [manifest.datasets[name] for name in sorted(manifest.datasets)]
 
     def resolve(self, spec: str) -> VersionInfo:
-        """``"name"`` / ``"name@latest"`` / ``"name@3"`` → version info."""
+        """``"name"`` / ``"name@latest"`` / ``"name@3"`` → version info.
+
+        Raises :class:`~repro.exceptions.UnknownEntryError` when the
+        dataset or version is not published, :class:`StoreError` for a
+        malformed spec.
+        """
         name, version = parse_spec(spec)
         entry = self.manifest().entry(name)
         return entry.default if version is None else entry.get(version)

@@ -26,7 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.exceptions import QueryError
+from repro.exceptions import NotFoundError, QueryError
 from repro.marginals.table import MarginalTable
 from repro.serve.engine import QueryAnswer
 
@@ -145,12 +145,14 @@ def answer_windows(
     ``k`` released windows; neither selects every released window.
     Each slice leases its pinned version through ``router`` — the
     same zero-drop path live serving uses — and the union is the
-    cell-wise sum of the per-window count tables.
+    cell-wise sum of the per-window count tables.  Raises
+    :class:`~repro.exceptions.NotFoundError` when ``name`` has no
+    released windows.
     """
     start = perf_counter()
-    rows = list_windows(router.store, name)
+    rows = router.windows(name)
     if not rows:
-        raise QueryError(
+        raise NotFoundError(
             f"unknown dataset {name!r} (or it has no released windows)"
         )
     selected = _select(rows, windows=windows, last=last)

@@ -149,3 +149,125 @@ class TestLabeledRegistry:
         rec = registry.observation("lat")
         assert set(rec) >= {"count", "sum", "min", "max", "mean"}
         assert rec["mean"] == pytest.approx(2.0)
+
+
+class TestSnapshotPinned:
+    """A fixed observation sequence pins the exported shape: every
+    key, its order and its value in ``snapshot()``, plus the
+    Prometheus text rendered from it."""
+
+    @staticmethod
+    def _registry() -> MetricsRegistry:
+        reg = MetricsRegistry()
+        reg.incr("serve.request", 3)
+        reg.set_gauge("serve.router.engines", 2)
+        covered = {"path": "covered", "dataset": "a"}
+        reg.observe("serve.request_seconds", 0.25, covered)
+        reg.observe("serve.request_seconds", 0.5, {"path": "solved", "dataset": "a"})
+        # the pre-sorted tuple fast lane lands in the same series
+        reg.observe(
+            "serve.request_seconds", 0.125, (("dataset", "a"), ("path", "covered"))
+        )
+        reg.observe("fit.seconds", 3.0)
+        reg.observe("fit.seconds", 1.0)
+        return reg
+
+    COVERED_LABELS = {"dataset": "a", "path": "covered"}
+    SOLVED_LABELS = {"dataset": "a", "path": "solved"}
+    SNAPSHOT = {
+        "counters": {"serve.request": 3},
+        "gauges": {"serve.router.engines": 2},
+        "observations": {
+            "fit.seconds": {
+                "count": 2, "sum": 4.0, "min": 1.0, "max": 3.0, "mean": 2.0,
+            },
+            "serve.request_seconds{dataset=a,path=covered}": {
+                "count": 2, "sum": 0.375, "min": 0.125, "max": 0.25,
+                "mean": 0.1875,
+                "metric": "serve.request_seconds", "labels": COVERED_LABELS,
+            },
+            "serve.request_seconds{dataset=a,path=solved}": {
+                "count": 1, "sum": 0.5, "min": 0.5, "max": 0.5, "mean": 0.5,
+                "metric": "serve.request_seconds", "labels": SOLVED_LABELS,
+            },
+        },
+        "histograms": {
+            "fit.seconds": {
+                "count": 2, "sum": 4.0,
+                "buckets": [[1.048576, 1], [4.194304, 1]],
+                "min": 1.0, "max": 3.0, "mean": 2.0,
+                "p50": 1.048576, "p90": 3.0, "p95": 3.0, "p99": 3.0,
+            },
+            "serve.request_seconds{dataset=a,path=covered}": {
+                "count": 2, "sum": 0.375,
+                "buckets": [[0.131072, 1], [0.262144, 1]],
+                "min": 0.125, "max": 0.25, "mean": 0.1875,
+                "p50": 0.131072, "p90": 0.2359296,
+                "p95": 0.24903679999999997, "p99": 0.25,
+                "metric": "serve.request_seconds", "labels": COVERED_LABELS,
+            },
+            "serve.request_seconds{dataset=a,path=solved}": {
+                "count": 1, "sum": 0.5,
+                "buckets": [[0.524288, 1]],
+                "min": 0.5, "max": 0.5, "mean": 0.5,
+                "p50": 0.5, "p90": 0.5, "p95": 0.5, "p99": 0.5,
+                "metric": "serve.request_seconds", "labels": SOLVED_LABELS,
+            },
+        },
+    }
+    PROMETHEUS = (
+        "# TYPE serve_request_total counter\n"
+        "serve_request_total 3\n"
+        "# TYPE serve_router_engines gauge\n"
+        "serve_router_engines 2\n"
+        "# TYPE fit_seconds histogram\n"
+        'fit_seconds_bucket{le="1.048576"} 1\n'
+        'fit_seconds_bucket{le="4.194304"} 2\n'
+        'fit_seconds_bucket{le="+Inf"} 2\n'
+        "fit_seconds_sum 4\n"
+        "fit_seconds_count 2\n"
+        "# TYPE serve_request_seconds histogram\n"
+        'serve_request_seconds_bucket{dataset="a",le="0.131072",path="covered"} 1\n'
+        'serve_request_seconds_bucket{dataset="a",le="0.262144",path="covered"} 2\n'
+        'serve_request_seconds_bucket{dataset="a",le="+Inf",path="covered"} 2\n'
+        'serve_request_seconds_sum{dataset="a",path="covered"} 0.375\n'
+        'serve_request_seconds_count{dataset="a",path="covered"} 2\n'
+        'serve_request_seconds_bucket{dataset="a",le="0.524288",path="solved"} 1\n'
+        'serve_request_seconds_bucket{dataset="a",le="+Inf",path="solved"} 1\n'
+        'serve_request_seconds_sum{dataset="a",path="solved"} 0.5\n'
+        'serve_request_seconds_count{dataset="a",path="solved"} 1\n'
+    )
+
+    def test_snapshot_keys_order_and_values(self):
+        snapshot = self._registry().snapshot()
+        # json.dumps without sort_keys also pins the key order
+        assert json.dumps(snapshot) == json.dumps(self.SNAPSHOT)
+
+    def test_prometheus_text(self):
+        from repro.obs.prometheus import render_prometheus
+
+        assert render_prometheus(self._registry().snapshot()) == self.PROMETHEUS
+
+    def test_observation_and_series_read_the_histograms(self):
+        reg = self._registry()
+        assert reg.observation("serve.request_seconds") == {
+            "count": 3, "sum": 0.875, "min": 0.125, "max": 0.5,
+            "mean": 0.875 / 3,
+        }
+        assert reg.observation("serve.request_seconds", {"path": "covered"}) == (
+            {"count": 2, "sum": 0.375, "min": 0.125, "max": 0.25, "mean": 0.1875}
+        )
+        assert reg.observation("never.seen") is None
+        assert [
+            (series["name"], series["labels"], series["summary"])
+            for series in reg.series()
+        ] == [
+            ("fit.seconds", {}, self.SNAPSHOT["observations"]["fit.seconds"]),
+            ("serve.request_seconds", self.COVERED_LABELS, {
+                "count": 2, "sum": 0.375, "min": 0.125, "max": 0.25,
+                "mean": 0.1875,
+            }),
+            ("serve.request_seconds", self.SOLVED_LABELS, {
+                "count": 1, "sum": 0.5, "min": 0.5, "max": 0.5, "mean": 0.5,
+            }),
+        ]

@@ -117,3 +117,60 @@ class TestServeSynopsisMigration:
                 f"{relative} still calls the removed serve_synopsis"
             )
             assert "serve_source" in source or "serve_store" in source
+
+
+class TestServeCommandsRun:
+    """``repro serve`` and ``repro store serve`` share one run loop:
+    one ``serving <mode> <target> (...) on <url>`` line, flushed even
+    into a pipe, a live server of that mode, and a clean exit on
+    SIGINT."""
+
+    @pytest.mark.parametrize("mode", ["single", "store"])
+    def test_announce_serve_and_interrupt(self, synopsis_path, tmp_path, mode):
+        import os
+        import queue
+        import signal
+        import subprocess
+        import sys
+        import threading
+        from pathlib import Path
+
+        from repro.serve import QueryClient
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        # Block-buffered stdout, as under CI: the banner must be flushed.
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        if mode == "single":
+            target = str(synopsis_path)
+            args = ["serve", "--synopsis", target]
+        else:
+            target = str(tmp_path / "store")
+            assert main(
+                ["store", "publish", "--store", target, "chain", str(synopsis_path)]
+            ) == 0
+            args = ["store", "serve", "--store", target, "--max-engines", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args, "--port", "0",
+             "--workers", "2", "--recon-method", "residual"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        lines: queue.Queue = queue.Queue()
+        threading.Thread(
+            target=lambda: lines.put(proc.stdout.readline()), daemon=True
+        ).start()
+        try:
+            # Bounded: a banner stuck in the pipe buffer fails, not hangs.
+            banner = lines.get(timeout=60).strip()
+            assert banner.startswith(f"serving {mode} {target} (")
+            url = banner.rsplit(" on ", 1)[1]
+            client = QueryClient(url, dataset=None if mode == "single" else "chain")
+            assert client.healthz()["mode"] == mode
+            assert client.marginal((0, 4))["method"] == "residual"
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()

@@ -85,7 +85,7 @@ class TestAnswer:
         with pytest.raises(QueryError):
             engine.answer((0, 1), method="magic")
         with pytest.raises(QueryError):
-            QueryEngine(engine.synopsis, default_method="magic")
+            QueryEngine(engine.source, default_method="magic")
 
     def test_timeout_raises_504_semantics(self, chain_synopsis, monkeypatch):
         real = engine_module.reconstruct

@@ -189,6 +189,20 @@ class TestStoreServer:
         assert payload["requests"] == 1
         assert payload["synopsis"]["num_attributes"] == 8
 
+    def test_builder_keywords(self, populated_store):
+        from repro.serve.multiplex import DEFAULT_MAX_ENGINES
+
+        server = serve_store(
+            populated_store, port=0, max_engines=None, watch=True,
+            watch_interval=0.5, request_timeout=3.0, cache_size=7,
+        )
+        with server:
+            assert server.router.max_engines == DEFAULT_MAX_ENGINES
+            assert server.router.watch_interval == 0.5
+            assert server._httpd.request_timeout == 3.0
+            with server.router.lease("alpha") as engine:
+                assert engine._cache.capacity == 7
+
     def test_hot_swap_under_load_zero_failures(
         self, populated_store, alpha_synopsis, alpha_v2_synopsis
     ):
@@ -239,3 +253,39 @@ class TestStoreServer:
             assert np.array_equal(
                 post, alpha_v2_synopsis.marginal((0, 1)).counts
             )
+
+
+class TestSpecErrors:
+    """A spec the store does not publish is a 404; a spec that does not
+    parse is a 400 — decided by the exception type, not its text."""
+
+    @pytest.mark.parametrize("spec, status, error_type", [
+        ("nope", 404, "NotFoundError"),
+        ("alpha@99", 404, "NotFoundError"),
+        ("alpha@x", 400, "QueryError"),
+        ("@1", 400, "QueryError"),
+    ])
+    @pytest.mark.parametrize("action, query", [
+        ("marginal", (0, 1)), ("batch", [(0, 1)]),
+    ])
+    def test_status_over_http(
+        self, populated_store, spec, status, error_type, action, query
+    ):
+        from repro.exceptions import RemoteQueryError
+
+        with serve_store(populated_store, port=0) as server:
+            client = QueryClient(server.url, dataset=spec)
+            with pytest.raises(RemoteQueryError) as excinfo:
+                getattr(client, action)(query)
+        assert excinfo.value.status == status
+        assert excinfo.value.error_type == error_type
+
+    def test_router_raises_not_found_for_unknown_version(self, populated_store):
+        from repro.exceptions import NotFoundError
+
+        with EngineRouter(populated_store) as router:
+            with pytest.raises(NotFoundError, match="no version 99"):
+                router.lease("alpha@99")
+            with pytest.raises(QueryError, match="bad dataset spec") as excinfo:
+                router.lease("alpha@x")
+            assert not isinstance(excinfo.value, NotFoundError)

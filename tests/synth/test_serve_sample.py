@@ -71,7 +71,7 @@ class TestHttpSample:
     @pytest.fixture(scope="class")
     def server(self, cat_synopsis):
         engine = QueryEngine(cat_synopsis, dataset="mixed")
-        with MarginalServer(engine=engine, port=0) as server:
+        with MarginalServer(engine, port=0) as server:
             yield server
 
     @pytest.fixture(scope="class")
